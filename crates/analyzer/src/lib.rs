@@ -4,7 +4,7 @@
 //! The repo's value proposition is that every figure and `RunReport` is
 //! bit-identical across thread counts and reruns.  The invariants that make
 //! that true used to live only in reviewers' heads; this crate turns them
-//! into six machine-checked rules:
+//! into five machine-checked rules:
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
@@ -12,7 +12,6 @@
 //! | D002 | wall clocks (`Instant::now`, `SystemTime`) only at quarantined sites |
 //! | D003 | `fingerprint()` bodies mention every field of their struct |
 //! | D004 | `unwrap()`/`expect()` count in library code ratchets downward |
-//! | D005 | deprecated shims referenced only under `allow(deprecated)` |
 //! | D006 | no `std::env` reads or ambient randomness in deterministic code |
 //!
 //! There is deliberately no `syn` (the build environment has no crates.io
@@ -24,7 +23,6 @@ pub mod report;
 pub mod rules;
 pub mod source;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,7 +36,6 @@ pub const RULES: &[(&str, &str)] = &[
     ("D002", "wall clocks confined to quarantined sites"),
     ("D003", "fingerprint() must cover every struct field"),
     ("D004", "unwrap()/expect() ratchet in library code"),
-    ("D005", "deprecated shims need scoped allow(deprecated)"),
     (
         "D006",
         "no std::env or ambient randomness in deterministic code",
@@ -130,7 +127,10 @@ pub enum RatchetMode {
 }
 
 /// All workspace `.rs` files under `root`, sorted, skipping build output,
-/// VCS metadata, the offline compat stand-ins, and lint test fixtures.
+/// VCS metadata, the offline compat stand-ins, lint test fixtures, and any
+/// subdirectory whose `Cargo.toml` declares a `[workspace]` of its own (a
+/// separate workspace, such as the host-time benchmark, is not the one the
+/// lint guards).
 ///
 /// # Errors
 ///
@@ -145,7 +145,9 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if entry.file_type()?.is_dir() {
-                if matches!(name.as_ref(), "target" | ".git" | "compat" | "fixtures") {
+                if matches!(name.as_ref(), "target" | ".git" | "compat" | "fixtures")
+                    || declares_workspace(&path)
+                {
                     continue;
                 }
                 stack.push(path);
@@ -166,7 +168,7 @@ struct ScannedFile {
     is_src: bool,
 }
 
-/// Runs all six rules over the workspace rooted at `root`.
+/// Runs all five rules over the workspace rooted at `root`.
 ///
 /// # Errors
 ///
@@ -193,22 +195,11 @@ pub fn run(root: &Path, ratchet: RatchetMode) -> io::Result<LintOutcome> {
         });
     }
 
-    // Workspace-wide pass: where every deprecated item lives.
-    let mut deprecated: BTreeMap<String, String> = BTreeMap::new();
-    let mut own_defs: Vec<Vec<(String, usize)>> = Vec::with_capacity(scanned.len());
-    for file in &scanned {
-        let defs = rules::deprecated_definitions(&file.tokens);
-        for (name, _) in &defs {
-            deprecated.insert(name.clone(), file.rel.clone());
-        }
-        own_defs.push(defs);
-    }
-
     let mut outcome = LintOutcome {
         files_scanned: scanned.len(),
         ..LintOutcome::default()
     };
-    for (file, defs) in scanned.iter().zip(&own_defs) {
+    for file in &scanned {
         let ctx = FileContext {
             path: &file.rel,
             tokens: &file.tokens,
@@ -219,7 +210,6 @@ pub fn run(root: &Path, ratchet: RatchetMode) -> io::Result<LintOutcome> {
         findings.extend(rules::d001(&ctx));
         findings.extend(rules::d002(&ctx));
         findings.extend(rules::d003(&ctx));
-        findings.extend(rules::d005(&ctx, &deprecated, defs));
         findings.extend(rules::d006(&ctx));
         for f in findings {
             match pragma_for(&file.pragmas, f.rule, f.line) {
@@ -339,17 +329,19 @@ fn apply_ratchet(root: &Path, mode: RatchetMode, outcome: &mut LintOutcome) -> i
     Ok(())
 }
 
+/// Does `dir` hold a `Cargo.toml` that declares `[workspace]`?
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+}
+
 /// Walks upward from `start` to the first directory whose `Cargo.toml`
 /// declares `[workspace]`.
 #[must_use]
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if declares_workspace(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }

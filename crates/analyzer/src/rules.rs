@@ -1,4 +1,4 @@
-//! The six determinism & cache-safety rules (D001–D006).
+//! The five determinism & cache-safety rules (D001–D004, D006).
 //!
 //! Every rule is a pattern over the flat token stream produced by
 //! [`crate::source::tokenize`]; none of them require type information, and
@@ -479,116 +479,6 @@ pub fn d004_sites(ctx: &FileContext<'_>) -> Vec<Finding> {
         }
     }
     sites
-}
-
-/// Workspace-wide pass 1 for D005: names of `#[deprecated]` items defined in
-/// this file, plus the lines their definitions sit on (a definition is not a
-/// "reference" for the purposes of the rule).
-#[must_use]
-pub fn deprecated_definitions(tokens: &[Token]) -> Vec<(String, usize)> {
-    let mut defs = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !(tokens[i].text == "#"
-            && tokens.get(i + 1).is_some_and(|t| t.text == "[")
-            && tokens.get(i + 2).is_some_and(|t| t.text == "deprecated"))
-        {
-            i += 1;
-            continue;
-        }
-        // Close this attribute, skip any further attributes.
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        while j < tokens.len() && depth > 0 {
-            match tokens[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        while tokens.get(j).is_some_and(|t| t.text == "#")
-            && tokens.get(j + 1).is_some_and(|t| t.text == "[")
-        {
-            let mut d = 1usize;
-            j += 2;
-            while j < tokens.len() && d > 0 {
-                match tokens[j].text.as_str() {
-                    "[" => d += 1,
-                    "]" => d -= 1,
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        // Skip visibility, find the item keyword, grab the name after it.
-        while tokens
-            .get(j)
-            .is_some_and(|t| matches!(t.text.as_str(), "pub" | "(" | ")" | "crate" | "super"))
-        {
-            j += 1;
-        }
-        if tokens
-            .get(j)
-            .is_some_and(|t| matches!(t.text.as_str(), "async" | "unsafe" | "const" | "extern"))
-        {
-            j += 1;
-        }
-        if tokens.get(j).is_some_and(|t| {
-            matches!(
-                t.text.as_str(),
-                "fn" | "struct" | "enum" | "trait" | "type" | "mod" | "static"
-            )
-        }) {
-            if let Some(name) = tokens.get(j + 1).filter(|t| t.is_ident()) {
-                defs.push((name.text.clone(), name.line));
-            }
-        }
-        i = j + 1;
-    }
-    defs
-}
-
-/// D005 pass 2: references to deprecated items from a file that does not
-/// scope an `allow(deprecated)`.
-#[must_use]
-pub fn d005(
-    ctx: &FileContext<'_>,
-    deprecated: &BTreeMap<String, String>,
-    own_defs: &[(String, usize)],
-) -> Vec<Finding> {
-    if deprecated.is_empty() || file_allows_deprecated(ctx.tokens) {
-        return Vec::new();
-    }
-    let own: BTreeSet<(&str, usize)> = own_defs
-        .iter()
-        .map(|(name, line)| (name.as_str(), *line))
-        .collect();
-    let mut findings = Vec::new();
-    for t in ctx.tokens {
-        if let Some(defined_in) = deprecated.get(&t.text) {
-            if own.contains(&(t.text.as_str(), t.line)) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: "D005",
-                line: t.line,
-                message: format!(
-                    "reference to deprecated `{}` (defined in {defined_in}) from a module \
-                     without a scoped `#![allow(deprecated)]`",
-                    t.text
-                ),
-            });
-        }
-    }
-    findings
-}
-
-/// Does the file contain any `allow(deprecated)` attribute (inner or outer)?
-fn file_allows_deprecated(tokens: &[Token]) -> bool {
-    tokens.windows(4).any(|w| {
-        w[0].text == "allow" && w[1].text == "(" && w[2].text == "deprecated" && w[3].text == ")"
-    })
 }
 
 /// Environment accessors that smuggle ambient state into deterministic code.

@@ -104,30 +104,6 @@ fn d004_counts_library_sites_but_not_test_modules() {
 }
 
 #[test]
-fn d005_flags_unscoped_deprecated_references() {
-    let f = fixture("d005_bad.rs");
-    let defs = rules::deprecated_definitions(&f.tokens);
-    assert_eq!(defs.len(), 1, "{defs:?}");
-    assert_eq!(defs[0].0, "legacy_api");
-    let map =
-        std::collections::BTreeMap::from([("legacy_api".to_owned(), "src/d005_bad.rs".to_owned())]);
-    let findings = rules::d005(&f.ctx(), &map, &defs);
-    assert_eq!(findings.len(), 1, "definition line is exempt: {findings:?}");
-    assert!(findings[0].message.contains("legacy_api"));
-}
-
-#[test]
-fn d005_accepts_scoped_allow() {
-    let f = fixture("d005_good.rs");
-    let defs = rules::deprecated_definitions(&f.tokens);
-    let map = std::collections::BTreeMap::from([(
-        "legacy_api".to_owned(),
-        "src/d005_good.rs".to_owned(),
-    )]);
-    assert_eq!(rules::d005(&f.ctx(), &map, &defs), vec![]);
-}
-
-#[test]
 fn d006_flags_env_reads_and_ambient_randomness() {
     let f = fixture("d006_bad.rs");
     let findings = rules::d006(&f.ctx());
@@ -313,6 +289,35 @@ fn update_mode_banks_the_scanned_count() {
     assert_eq!(outcome.d004_recorded, Some(1));
     let banked = fs::read_to_string(root.join(RATCHET_FILE)).expect("banked ratchet");
     assert!(banked.contains("unwrap_expect_sites = 1"));
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn nested_workspaces_are_skipped_but_plain_subdirectories_are_scanned() {
+    let clock = "pub fn stamp() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
+    let root = mini_workspace(
+        "nested",
+        &[
+            ("src/lib.rs", "pub fn f() -> u64 {\n    1\n}\n"),
+            (
+                "bench/Cargo.toml",
+                "[package]\nname = \"bench\"\n\n[workspace]\n",
+            ),
+            ("bench/src/main.rs", clock),
+            ("tools/Cargo.toml", "[package]\nname = \"tools\"\n"),
+            ("tools/src/main.rs", clock),
+            (RATCHET_FILE, "[D004]\nunwrap_expect_sites = 0\n"),
+        ],
+    );
+    let outcome = run(&root, RatchetMode::Enforce).expect("scan");
+    // The root and the plain `tools/` package are scanned; the `bench/`
+    // package declares its own workspace and is not.
+    assert_eq!(outcome.files_scanned, 2, "{:?}", outcome.violations);
+    assert_eq!(outcome.rule_count("D002"), 1, "{:?}", outcome.violations);
+    assert!(outcome
+        .violations
+        .iter()
+        .all(|v| v.file == "tools/src/main.rs"));
     fs::remove_dir_all(&root).ok();
 }
 

@@ -5,12 +5,10 @@
 //! channels near the cluster fall back to H(71,64) while the far side keeps
 //! riding the uncoded path.
 //!
-//! Neither legacy entry point could express this: the prescribed scenarios
-//! (`ThermalScenario`) have no self-heating feedback, and the feedback
-//! engine (`FeedbackSimulation`) only heated the chip with the link's own
-//! uniform dissipation.  The scenario needs the unified surface —
-//! `ScenarioBuilder::workload_heated` composing a `WorkloadHeatedEnvironment`
-//! with the epoch-gated decision policy.
+//! A prescribed trace has no self-heating feedback, and the activity-coupled
+//! model alone heats the chip only with the link's own uniform dissipation.
+//! The scenario needs `ScenarioBuilder::workload_heated`, composing a
+//! `WorkloadHeatedEnvironment` with the epoch-gated decision policy.
 //!
 //! Run with `cargo run -p onoc-bench --bin fig_workload`.
 

@@ -13,7 +13,6 @@
 //! optical signal power the link budget must deliver for a required SNR.
 
 use onoc_units::{AmpsPerWatt, Microamps, Microwatts};
-use serde::{Deserialize, Serialize};
 
 /// Photodetector + decision-circuit model.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// // 22.75 × 4 µA / 1 A/W + 5 µW of crosstalk headroom = 96 µW.
 /// assert!((signal.value() - 96.0).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceiverModel {
     responsivity: AmpsPerWatt,
     dark_current: Microamps,

@@ -94,7 +94,7 @@ pub fn coding_gain_db(scheme: EccScheme, target_ber: f64) -> f64 {
 }
 
 /// A (BER target → SNR requirement) table row, convenient for sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnrRequirement {
     /// Coding scheme.
     pub scheme: EccScheme,

@@ -616,9 +616,9 @@ impl SharedOpCache {
 // ---------------------------------------------------------------------------
 // Snapshot component serializers.
 //
-// The workspace's `serde` is an inert compat stub, so the operating-point
-// tree is written and read by hand through the telemetry JSON kernel.  Two
-// representation rules keep the round trip exact:
+// No serde is available offline, so the operating-point tree is written
+// and read by hand through the telemetry JSON kernel.  Two representation
+// rules keep the round trip exact:
 //
 // * every `f64` goes through `Json::Num`, whose writer emits the shortest
 //   representation that parses back bit-identically (finite values);

@@ -8,12 +8,11 @@
 
 use onoc_ecc_codes::EccScheme;
 use onoc_units::Celsius;
-use serde::{Deserialize, Serialize};
 
 use crate::link::{NanophotonicLink, OperatingPoint};
 
 /// One point of the power/performance trade-off plane (Fig. 6b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParetoPoint {
     /// The underlying operating point.
     pub point: OperatingPoint,

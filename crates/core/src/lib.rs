@@ -49,4 +49,4 @@ pub use explore::{DesignSpace, ParetoPoint};
 pub use link::{CacheCounters, LinkError, NanophotonicLink, OperatingPoint, SelectionObjective};
 pub use onoc_photonics::thermal::{ThermalLinkStack, ThermalSummary};
 pub use onoc_thermal::{AssignmentStrategy, WavelengthAssigner, WavelengthAssignment};
-pub use policy::{LinkManager, ManagerDecision, ThermalRuntimeManager, TrafficClass};
+pub use policy::{LinkManager, ManagerDecision, TrafficClass};

@@ -14,12 +14,11 @@ use onoc_thermal::{
     WavelengthAssignment,
 };
 use onoc_units::{Celsius, Milliwatts, PicojoulesPerBit};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{OpCacheKey, SharedOpCache};
 
 /// Errors returned by link-level queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LinkError {
     /// The photonic solver found no feasible laser operating point.
     Infeasible(SolveError),
@@ -59,7 +58,7 @@ impl From<SolveError> for LinkError {
 }
 
 /// What the manager optimises for among the feasible operating points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SelectionObjective {
     /// Lowest total channel power (the paper's default).
     #[default]
@@ -71,7 +70,7 @@ pub enum SelectionObjective {
 }
 
 /// A request against the link manager: what the communication needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkRequest {
     /// Required decoded bit-error rate.
     pub target_ber: f64,
@@ -111,7 +110,7 @@ impl LinkRequest {
 
 /// A fully-evaluated operating point of the link for one (scheme, BER,
 /// temperature) triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// The laser-side solution (OP_laser, P_laser, SNR, crosstalk…).
     pub laser: LaserOperatingPoint,
@@ -154,7 +153,7 @@ impl OperatingPoint {
 }
 
 /// Snapshot of the memoized operating-point cache's effectiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounters {
     /// Queries answered from the cache.
     pub hits: u64,

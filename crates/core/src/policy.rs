@@ -9,14 +9,12 @@
 //! lower-power path, possibly with a degraded BER.
 
 use onoc_ecc_codes::EccScheme;
-use onoc_thermal::ThermalEnvironment;
 use onoc_units::{Celsius, Milliwatts};
-use serde::{Deserialize, Serialize};
 
 use crate::link::{LinkRequest, NanophotonicLink, OperatingPoint, SelectionObjective};
 
 /// Coarse application classes distinguished by the manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Hard-deadline traffic: communication time must not stretch.
     RealTime,
@@ -91,7 +89,7 @@ impl std::fmt::Display for TrafficClass {
 }
 
 /// The configuration answered by the manager for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManagerDecision {
     /// Traffic class the decision was made for.
     pub class: TrafficClass,
@@ -247,86 +245,6 @@ impl LinkManager {
     }
 }
 
-/// The thermally-adaptive runtime manager: a [`LinkManager`] bound to a
-/// [`ThermalEnvironment`], answering per-ONI, per-instant configuration
-/// requests.
-///
-/// This is the Section III-C manager upgraded for a chip whose temperature
-/// is neither uniform nor constant: the scheme and laser power it hands out
-/// depend on *where* (which destination ONI's channel) and *when* (transient
-/// traces) the communication happens.
-#[derive(Debug, Clone)]
-pub struct ThermalRuntimeManager {
-    manager: LinkManager,
-    environment: ThermalEnvironment,
-    oni_count: usize,
-}
-
-impl ThermalRuntimeManager {
-    /// Binds `manager` to `environment` over `oni_count` ONIs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `oni_count` is zero.
-    #[must_use]
-    pub fn new(manager: LinkManager, environment: ThermalEnvironment, oni_count: usize) -> Self {
-        assert!(oni_count > 0, "at least one ONI is required");
-        Self {
-            manager,
-            environment,
-            oni_count,
-        }
-    }
-
-    /// The underlying link manager.
-    #[must_use]
-    pub fn manager(&self) -> &LinkManager {
-        &self.manager
-    }
-
-    /// The thermal environment being tracked.
-    #[must_use]
-    pub fn environment(&self) -> &ThermalEnvironment {
-        &self.environment
-    }
-
-    /// Temperature of the channel read by `oni` at `time_ns`.
-    #[must_use]
-    pub fn temperature_at(&self, oni: usize, time_ns: f64) -> Celsius {
-        self.environment
-            .temperature_at(oni, self.oni_count, time_ns)
-    }
-
-    /// Configures a transfer of `class` towards destination `oni` at
-    /// `time_ns`.
-    #[must_use]
-    pub fn configure(
-        &self,
-        class: TrafficClass,
-        oni: usize,
-        time_ns: f64,
-    ) -> Option<ManagerDecision> {
-        self.manager
-            .configure_at(class, self.temperature_at(oni, time_ns))
-    }
-
-    /// The per-ONI scheme map of `class` at `time_ns`: what every
-    /// destination channel would be configured to.
-    #[must_use]
-    pub fn scheme_map(
-        &self,
-        class: TrafficClass,
-        time_ns: f64,
-    ) -> Vec<(usize, Celsius, Option<ManagerDecision>)> {
-        (0..self.oni_count)
-            .map(|oni| {
-                let t = self.temperature_at(oni, time_ns);
-                (oni, t, self.manager.configure_at(class, t))
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,32 +330,6 @@ mod tests {
             let b = manager.configure_at(class, Celsius::new(25.0));
             assert_eq!(a, b, "{class:?}");
         }
-    }
-
-    #[test]
-    fn thermal_runtime_manager_tracks_a_hotspot_per_oni() {
-        let runtime = ThermalRuntimeManager::new(
-            LinkManager::paper_manager(),
-            ThermalEnvironment::Hotspot {
-                base: Celsius::new(30.0),
-                peak: Celsius::new(85.0),
-                center: 0,
-                decay_per_hop: 0.35,
-            },
-            12,
-        );
-        let map = runtime.scheme_map(TrafficClass::LatencyFirst, 0.0);
-        assert_eq!(map.len(), 12);
-        // The hotspot channel is forced onto the coded path…
-        let (_, t0, hot) = &map[0];
-        assert!((t0.value() - 85.0).abs() < 1e-9);
-        assert_eq!(hot.as_ref().unwrap().point.scheme(), EccScheme::Hamming7164);
-        // …while channels far from the hotspot still ride uncoded.
-        let (_, t6, far) = &map[6];
-        assert!(t6.value() < 32.0);
-        assert_eq!(far.as_ref().unwrap().point.scheme(), EccScheme::Uncoded);
-        assert!(runtime.environment() == &runtime.environment().clone());
-        assert_eq!(runtime.manager().candidates().len(), 3);
     }
 
     #[test]

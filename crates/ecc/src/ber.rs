@@ -13,8 +13,6 @@
 //! decoded BER, how bad may the raw channel be?*  The answer (`p`) then feeds
 //! the SNR/optical-power chain of `onoc-ber` and `onoc-photonics`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scheme::EccScheme;
 
 /// Decoded BER of the paper's Hamming model (Eq. 2) for a raw error
@@ -113,7 +111,7 @@ pub fn raw_ber_for_target(scheme: EccScheme, target_ber: f64) -> f64 {
 }
 
 /// Summary of a code's analytic performance at a given operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodePerformance {
     /// Scheme under evaluation.
     pub scheme: EccScheme,

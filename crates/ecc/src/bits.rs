@@ -5,8 +5,6 @@
 //! hundred bits, so a simple `Vec<u64>`-backed structure is more than enough
 //! and keeps the dependency footprint at the pre-approved set.
 
-use serde::{Deserialize, Serialize};
-
 /// A growable, indexable sequence of bits.
 ///
 /// ```
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(block.count_ones(), 2);
 /// assert_eq!(block.to_bools(), vec![false, false, true, false, false, false, true]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct BitBlock {
     words: Vec<u64>,
     len: usize,

@@ -1,11 +1,9 @@
 //! The [`BlockCode`] trait shared by every code in this crate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bits::BitBlock;
 
 /// Errors produced by encoders and decoders.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodeError {
     /// The caller supplied a data block whose length does not match `k`.
     WrongMessageLength {
@@ -45,7 +43,7 @@ impl std::fmt::Display for CodeError {
 impl std::error::Error for CodeError {}
 
 /// Result of decoding one received codeword.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeOutcome {
     /// The decoded message bits (length `k`).
     pub data: Vec<bool>,

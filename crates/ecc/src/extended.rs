@@ -7,8 +7,6 @@
 //! in on-chip memories and interconnects, so we provide it as an optional
 //! scheme for the design-space exploration and ablation benches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, DecodeOutcome};
 use crate::shortened::ShortenedHammingCode;
 
@@ -23,7 +21,7 @@ use crate::shortened::ShortenedHammingCode;
 /// assert_eq!(code.min_distance(), 4);
 /// # Ok::<(), onoc_ecc_codes::CodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtendedHammingCode {
     base: ShortenedHammingCode,
 }

@@ -6,8 +6,6 @@
 //! for the 64-bit IP bus is derived from the `m = 7` member H(127,120) (see
 //! [`crate::shortened`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, DecodeOutcome};
 
 /// A perfect Hamming code with `m ≥ 2` parity bits.
@@ -28,7 +26,7 @@ use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, D
 /// assert!((h74.rate() - 4.0 / 7.0).abs() < 1e-12);
 /// # Ok::<(), onoc_ecc_codes::CodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HammingCode {
     parity_count: usize,
     block_length: usize,

@@ -7,8 +7,6 @@
 //! is spread over many codewords and stays within the single-error
 //! correction capability of the Hamming code.
 
-use serde::{Deserialize, Serialize};
-
 /// A block interleaver writing row-by-row and reading column-by-column.
 ///
 /// ```
@@ -20,14 +18,14 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(il.deinterleave(&interleaved)?, data);
 /// # Ok::<(), onoc_ecc_codes::interleave::InterleaveError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInterleaver {
     rows: usize,
     columns: usize,
 }
 
 /// Errors produced by the interleaver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterleaveError {
     /// Rows and columns must both be non-zero.
     ZeroDimension,

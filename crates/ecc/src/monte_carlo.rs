@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::code::{BlockCode, CodeError};
 
@@ -64,7 +63,7 @@ impl BinarySymmetricChannel {
 }
 
 /// Result of a Monte-Carlo BER experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerExperimentResult {
     /// Raw channel flip probability used for the experiment.
     pub raw_ber: f64,

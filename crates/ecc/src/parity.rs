@@ -1,7 +1,5 @@
 //! Single parity-check code (detection only, no correction).
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, DecodeOutcome};
 
 /// A single parity-check code: `k` data bits plus one even-parity bit.
@@ -18,7 +16,7 @@ use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, D
 /// assert_eq!(code.correctable_errors(), 0);
 /// # Ok::<(), onoc_ecc_codes::CodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParityCheckCode {
     message_length: usize,
 }

@@ -5,8 +5,6 @@
 //! sanity baseline in the design-space exploration: any sensible code should
 //! dominate it on the power/performance Pareto front for the same BER target.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, DecodeOutcome};
 
 /// A bit-repetition code with odd repetition factor.
@@ -19,7 +17,7 @@ use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, D
 /// assert_eq!(cw.len(), 12);
 /// # Ok::<(), onoc_ecc_codes::CodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepetitionCode {
     repetitions: usize,
     message_length: usize,

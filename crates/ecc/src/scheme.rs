@@ -1,8 +1,6 @@
 //! The [`EccScheme`] registry: the concrete coding configurations evaluated in
 //! the paper plus the extensions used by the ablation studies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{BlockCode, CodeError};
 use crate::extended::ExtendedHammingCode;
 use crate::hamming::HammingCode;
@@ -28,7 +26,7 @@ pub const IP_WORD_BITS: usize = 64;
 /// assert_eq!(EccScheme::Hamming7164.encoded_bits_per_word(64), 71);
 /// assert!((EccScheme::Uncoded.communication_time_factor() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum EccScheme {

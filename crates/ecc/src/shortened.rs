@@ -8,8 +8,6 @@
 //! m = 7 parity bits, so the natural code is H(127,120) shortened by 56
 //! positions to H(71,64).
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, DecodeOutcome};
 use crate::hamming::HammingCode;
 
@@ -25,7 +23,7 @@ use crate::hamming::HammingCode;
 /// assert!((code.communication_time_factor() - 71.0 / 64.0).abs() < 1e-12);
 /// # Ok::<(), onoc_ecc_codes::CodeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShortenedHammingCode {
     parent: HammingCode,
     message_length: usize,

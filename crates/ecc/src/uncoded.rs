@@ -1,7 +1,5 @@
 //! Uncoded pass-through — the "w/o ECC" transmission mode of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, DecodeOutcome};
 
 /// Identity "code": data bits are transmitted as-is.
@@ -16,7 +14,7 @@ use crate::code::{check_codeword_len, check_message_len, BlockCode, CodeError, D
 /// assert_eq!(code.block_length(), 64);
 /// assert!((code.communication_time_factor() - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UncodedPassthrough {
     message_length: usize,
 }

@@ -10,10 +10,9 @@
 
 use onoc_ecc_codes::EccScheme;
 use onoc_units::{Microwatts, Nanowatts, Picoseconds, SquareMicrometers};
-use serde::{Deserialize, Serialize};
 
 /// Which side of the optical link a block belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterfaceSide {
     /// Emitter (writer) datapath.
     Transmitter,
@@ -22,7 +21,7 @@ pub enum InterfaceSide {
 }
 
 /// Identifier of a synthesized hardware block from Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// 1-bit output mode multiplexer (3-to-1) of the transmitter.
     TxModeMux,
@@ -51,7 +50,7 @@ pub enum BlockKind {
 }
 
 /// Synthesis figures of one hardware block (one row of Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockCost {
     /// Which block this record describes.
     pub kind: BlockKind,
@@ -76,7 +75,7 @@ impl BlockCost {
 }
 
 /// The full Table I database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisDatabase {
     blocks: Vec<BlockCost>,
 }

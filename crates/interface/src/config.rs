@@ -2,10 +2,9 @@
 
 use onoc_ecc_codes::{CodeError, EccScheme};
 use onoc_units::{GigabitsPerSecond, Gigahertz};
-use serde::{Deserialize, Serialize};
 
 /// Errors produced by the interface datapaths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InterfaceError {
     /// The underlying codec rejected the data (wrong geometry).
     Code(CodeError),
@@ -67,7 +66,7 @@ impl From<CodeError> for InterfaceError {
 /// // of 10 Gb/s × 16 wavelengths.
 /// assert!(config.supports(EccScheme::Hamming74));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterfaceConfig {
     /// Width of the IP data bus (N_data), 64 bits in the paper.
     pub word_bits: usize,

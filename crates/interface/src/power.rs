@@ -14,14 +14,13 @@
 
 use onoc_ecc_codes::EccScheme;
 use onoc_units::{GigabitsPerSecond, Milliwatts, PicojoulesPerBit};
-use serde::{Deserialize, Serialize};
 
 use crate::blocks::SynthesisDatabase;
 use crate::config::InterfaceConfig;
 use crate::timing::CommunicationTiming;
 
 /// How the energy-per-bit figure charges the channel power to payload bits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EnergyAccounting {
     /// The channel only burns power while a word is in flight: energy per
     /// payload bit is `P_channel × CT / payload-bit rate`.  This is the
@@ -41,7 +40,7 @@ pub enum EnergyAccounting {
 
 /// Per-wavelength power breakdown of one operating point (one bar group of
 /// Fig. 6a, plus the thermal-tuning term).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelPowerBreakdown {
     /// Coding scheme of the operating point.
     pub scheme: EccScheme,
@@ -79,7 +78,7 @@ impl ChannelPowerBreakdown {
 
 /// Computes power breakdowns and energy figures for an interface
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelPowerModel {
     config: InterfaceConfig,
     synthesis: SynthesisDatabase,

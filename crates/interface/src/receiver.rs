@@ -7,14 +7,13 @@
 
 use onoc_ecc_codes::EccScheme;
 use onoc_units::{Microwatts, SquareMicrometers};
-use serde::{Deserialize, Serialize};
 
 use crate::blocks::{InterfaceSide, SynthesisDatabase};
 use crate::config::{InterfaceConfig, InterfaceError};
 use crate::serdes::Deserializer;
 
 /// The outcome of receiving one word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedWord {
     /// The recovered IP word.
     pub word: u64,
@@ -26,7 +25,7 @@ pub struct DecodedWord {
 }
 
 /// The receiver-side interface datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Receiver {
     config: InterfaceConfig,
     synthesis: SynthesisDatabase,

@@ -8,7 +8,6 @@
 //! simulator and the examples can push real bit streams through the link.
 
 use onoc_ecc_codes::bits::BitBlock;
-use serde::{Deserialize, Serialize};
 
 /// A parallel-in / serial-out register pipeline.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stream, vec![true, false, true, true, false, false, true, false]);
 /// assert!(ser.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Serializer {
     depth: usize,
     pipeline: Vec<bool>,
@@ -125,7 +124,7 @@ impl Serializer {
 /// }
 /// assert_eq!(des.take_word(), Some(vec![true, true, false, true]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deserializer {
     depth: usize,
     pipeline: Vec<bool>,

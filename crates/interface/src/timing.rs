@@ -9,12 +9,11 @@
 
 use onoc_ecc_codes::EccScheme;
 use onoc_units::Nanoseconds;
-use serde::{Deserialize, Serialize};
 
 use crate::config::InterfaceConfig;
 
 /// Timing figures of one word transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommunicationTiming {
     /// Scheme used for the transmission.
     pub scheme: EccScheme,

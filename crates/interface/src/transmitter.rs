@@ -8,14 +8,13 @@
 
 use onoc_ecc_codes::EccScheme;
 use onoc_units::{Microwatts, SquareMicrometers};
-use serde::{Deserialize, Serialize};
 
 use crate::blocks::{InterfaceSide, SynthesisDatabase};
 use crate::config::{InterfaceConfig, InterfaceError};
 use crate::serdes::Serializer;
 
 /// The emitter-side interface datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transmitter {
     config: InterfaceConfig,
     synthesis: SynthesisDatabase,

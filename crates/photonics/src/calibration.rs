@@ -17,7 +17,6 @@
 //! EXPERIMENTS.md documents the residual quantitative differences.
 
 use onoc_units::{Celsius, Decibels, Microwatts, Milliwatts, Nanometers};
-use serde::{Deserialize, Serialize};
 
 use crate::devices::{
     LaserThermalModel, MicroRingResonator, Multiplexer, Photodetector, VcselLaser, Waveguide,
@@ -26,7 +25,7 @@ use crate::mwsr::{ChannelGeometry, MwsrChannel};
 use crate::spectrum::WavelengthGrid;
 
 /// Every tunable constant of the paper's evaluation setup, in one place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperCalibration {
     /// Channel geometry (ONIs, wavelengths, waveguide, activity).
     pub geometry: ChannelGeometry,

@@ -20,7 +20,6 @@
 //! optical power, and ≈ 14 mW of electrical power at that ceiling).
 
 use onoc_units::{Celsius, Microwatts, Milliwatts};
-use serde::{Deserialize, Serialize};
 
 /// The electro-thermal fixed point diverged: every extra milliwatt of
 /// electrical power heats the junction enough to cost more than a milliwatt
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// With the paper VCSEL this happens around 85 °C ambient; topology sweeps
 /// probe that whole envelope, so the condition is a typed error rather than
 /// a panic (the link layer reports it as `LinkError::Infeasible`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalRunaway {
     /// Requested optical output the solve was running for.
     pub optical_output: Microwatts,
@@ -50,7 +49,7 @@ impl std::fmt::Display for ThermalRunaway {
 impl std::error::Error for ThermalRunaway {}
 
 /// Thermal/efficiency description of a VCSEL.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserThermalModel {
     /// Wall-plug efficiency at the reference temperature.
     pub base_efficiency: f64,
@@ -104,7 +103,7 @@ impl Default for LaserThermalModel {
 /// // efficiency roll-off makes the curve super-linear (Fig. 4).
 /// assert!(high.value() / low.value() > 7.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VcselLaser {
     thermal: LaserThermalModel,
     ambient: Celsius,

@@ -12,10 +12,9 @@
 //! what produces the characteristic notch of Fig. 3.
 
 use onoc_units::{Decibels, LinearRatio, Milliwatts, Nanometers};
-use serde::{Deserialize, Serialize};
 
 /// Electro-optic state of a ring modulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RingState {
     /// Resonance detuned from the carrier: the signal passes (data '1').
     Off,
@@ -37,7 +36,7 @@ pub enum RingState {
 /// let er = 10.0 * (off.value() / on.value()).log10();
 /// assert!((er - 6.9).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroRingResonator {
     /// Resonant wavelength in the OFF (unbiased) state.
     resonance_off: Nanometers,

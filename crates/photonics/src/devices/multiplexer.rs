@@ -5,7 +5,6 @@
 //! budget's point of view the device is a broadband insertion loss.
 
 use onoc_units::{Decibels, LinearRatio};
-use serde::{Deserialize, Serialize};
 
 /// An N-to-1 wavelength multiplexer with a flat insertion loss.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(mux.inputs(), 16);
 /// assert!(mux.transmission().value() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Multiplexer {
     inputs: usize,
     insertion_loss: Decibels,

@@ -3,7 +3,6 @@
 
 use onoc_ber::ReceiverModel;
 use onoc_units::{AmpsPerWatt, Microamps, Microwatts};
-use serde::{Deserialize, Serialize};
 
 /// A photodetector characterised by its responsivity and dark current.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let current = pd.photocurrent(Microwatts::new(91.0));
 /// assert!((current.value() - 91.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photodetector {
     responsivity: AmpsPerWatt,
     dark_current: Microamps,

@@ -1,7 +1,6 @@
 //! Silicon waveguide propagation-loss model.
 
 use onoc_units::{Centimeters, Decibels, DecibelsPerCentimeter, LinearRatio};
-use serde::{Deserialize, Serialize};
 
 /// A straight silicon waveguide section characterised by its length and
 /// propagation loss.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// let wg = Waveguide::paper_waveguide();
 /// assert!((wg.total_loss().value() - 1.644).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waveguide {
     length: Centimeters,
     loss_per_cm: DecibelsPerCentimeter,

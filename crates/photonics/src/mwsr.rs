@@ -15,7 +15,6 @@
 //! current to form the SNR.
 
 use onoc_units::{Decibels, LinearRatio, Microwatts, Milliwatts, Nanometers};
-use serde::{Deserialize, Serialize};
 
 use crate::devices::{
     MicroRingResonator, Multiplexer, Photodetector, RingState, VcselLaser, Waveguide,
@@ -23,7 +22,7 @@ use crate::devices::{
 use crate::spectrum::WavelengthGrid;
 
 /// Structural description of one MWSR channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelGeometry {
     /// Number of optical network interfaces sharing the interconnect
     /// (12 in the paper's evaluation).
@@ -70,7 +69,7 @@ impl ChannelGeometry {
 }
 
 /// A fully-instantiated MWSR channel: geometry plus device models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MwsrChannel {
     geometry: ChannelGeometry,
     modulator: MicroRingResonator,

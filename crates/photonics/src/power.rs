@@ -18,12 +18,11 @@ use onoc_ber::ReceiverModel;
 use onoc_ecc_codes::ber::raw_ber_for_target;
 use onoc_ecc_codes::EccScheme;
 use onoc_units::{Microwatts, Milliwatts};
-use serde::{Deserialize, Serialize};
 
 use crate::mwsr::MwsrChannel;
 
 /// Why a (scheme, target BER) pair has no feasible operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// The required laser output power exceeds what the laser can deliver.
     LaserPowerExceeded {
@@ -86,7 +85,7 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 /// A feasible laser/ECC operating point for one wavelength of the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserOperatingPoint {
     /// Coding scheme.
     pub scheme: EccScheme,

@@ -1,7 +1,6 @@
 //! The WDM wavelength comb shared by the lasers, modulators and drop filters.
 
 use onoc_units::Nanometers;
-use serde::{Deserialize, Serialize};
 
 /// An evenly-spaced grid of N_W signal wavelengths λ₀ … λ_{N_W−1}.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let spacing = grid.wavelength(1).value() - grid.wavelength(0).value();
 /// assert!((spacing - 0.8).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WavelengthGrid {
     first: Nanometers,
     spacing: Nanometers,

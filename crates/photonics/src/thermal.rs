@@ -29,7 +29,6 @@ use onoc_thermal::{
     RingThermalModel, ThermalTuner, TuningPolicy, WavelengthAssignment,
 };
 use onoc_units::{Celsius, Microwatts, Milliwatts};
-use serde::{Deserialize, Serialize};
 
 use crate::mwsr::MwsrChannel;
 use crate::power::{LaserOperatingPoint, LaserPowerSolver, SolveError};
@@ -37,7 +36,7 @@ use crate::power::{LaserOperatingPoint, LaserPowerSolver, SolveError};
 /// The thermal configuration of a link: ring drift, heaters, per-ring
 /// fabrication variation, the design-time wavelength assignment and the
 /// tuning policy/mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalLinkStack {
     /// Resonance drift model of the ring banks.
     pub rings: RingThermalModel,
@@ -173,7 +172,7 @@ impl Default for ThermalLinkStack {
 
 /// Thermal side of an operating point: what the temperature did to the link
 /// and what keeping the rings on grid costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalSummary {
     /// Chip temperature this point was solved at.
     pub temperature: Celsius,

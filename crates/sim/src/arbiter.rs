@@ -8,12 +8,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::MessageId;
 
 /// Round-robin arbiter for one MWSR channel.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TokenArbiter {
     /// Writers currently waiting, in arrival order per writer.
     queue: VecDeque<(usize, MessageId)>,

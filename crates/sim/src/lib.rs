@@ -25,11 +25,6 @@
 //! wall-clock residency and the dynamic share (modulation + codec) over
 //! transfer occupancy.
 //!
-//! The legacy entry points — `Simulation` + `SimulationConfig`,
-//! `ThermalScenario` and `FeedbackSimulation` + `FeedbackConfig` — survive
-//! as thin `#[deprecated]` shims over the builder, pinned bit-identical by
-//! golden tests.
-//!
 //! # Example
 //!
 //! ```
@@ -52,30 +47,18 @@
 #![warn(missing_docs)]
 
 pub mod arbiter;
-pub mod engine;
-pub mod feedback;
+mod decision;
 pub mod packet;
 pub mod scenario;
 pub mod stats;
-pub mod thermal;
 pub mod time;
 pub mod traffic;
 
-pub use engine::{SimulationConfig, SimulationError, SimulationReport};
-pub use feedback::{FeedbackConfig, FeedbackReport, OniFeedbackReport};
+pub use decision::SimulationError;
 pub use packet::{Message, MessageId};
 pub use scenario::{
     DecisionPolicy, DesignAssignmentConfig, EpochSample, OniReport, PhaseTransition,
     RingVariationConfig, RunReport, Scenario, ScenarioBuilder, ScenarioConfig, SchemeSwitch,
 };
 pub use stats::SimStats;
-pub use thermal::{OniThermalReport, ThermalRunReport};
 pub use time::SimTime;
-
-// Legacy entry points, re-exported for the deprecated migration shims.
-#[allow(deprecated)]
-pub use engine::Simulation;
-#[allow(deprecated)]
-pub use feedback::FeedbackSimulation;
-#[allow(deprecated)]
-pub use thermal::ThermalScenario;

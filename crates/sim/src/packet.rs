@@ -1,12 +1,11 @@
 //! Messages exchanged by the ONIs.
 
 use onoc_link::TrafficClass;
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// Unique message identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
 
 impl std::fmt::Display for MessageId {
@@ -17,7 +16,7 @@ impl std::fmt::Display for MessageId {
 
 /// One message (a burst of 64-bit words) travelling from a source ONI to a
 /// destination ONI over the destination's MWSR channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Message {
     /// Unique identifier.
     pub id: MessageId,

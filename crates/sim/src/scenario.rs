@@ -1,11 +1,6 @@
 //! The unified simulation surface: one builder, one run, one report.
 //!
-//! Historically the simulator exposed three divergent entry points —
-//! `Simulation` + `SimulationConfig` (fixed-ambient and prescribed-trace
-//! playback), `ThermalScenario` (the prescribed-trace attachment) and
-//! `FeedbackSimulation` + `FeedbackConfig` (activity-coupled heating) — with
-//! two incompatible report types and duplicated knobs.  [`ScenarioBuilder`]
-//! replaces all of them: it composes
+//! [`ScenarioBuilder`] is the simulator's one entry point: it composes
 //!
 //! * **traffic** (pattern, class, message geometry, arrival process, seed),
 //! * a **thermal model** ([`onoc_thermal::ThermalModelSpec`]: prescribed
@@ -21,9 +16,6 @@
 //! [`RunReport`] — per-ONI state (delivered traffic, temperatures, scheme,
 //! switches, energy split) plus run-level epochs, decisions, switch log,
 //! trajectory and solver-cache counters, whatever combination produced it.
-//!
-//! The legacy entry points survive as thin `#[deprecated]` shims over this
-//! builder and are pinned bit-identical by `tests/scenario_migration.rs`.
 //!
 //! # Example
 //!
@@ -63,15 +55,14 @@ use onoc_topology::{FabricSpec, LinkKind, RouteTable, Router};
 use onoc_units::Celsius;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::arbiter::TokenArbiter;
-use crate::engine::{
-    conditional_corrupted_bits, DecisionParams, Event, EventKind, SimulationError,
+use crate::decision::{
+    bucket_centre, bucket_index, conditional_corrupted_bits, DecisionParams, Event, EventKind,
+    SimulationError,
 };
 use crate::packet::{Message, MessageId};
 use crate::stats::SimStats;
-use crate::thermal::{bucket_centre, bucket_index};
 use crate::time::SimTime;
 use crate::traffic::{TrafficGenerator, TrafficPattern};
 
@@ -79,7 +70,7 @@ use crate::traffic::{TrafficGenerator, TrafficPattern};
 /// destination channel becomes its own chip instance, with ring offsets
 /// sampled from `sigma_nm` under a seed derived from `seed` and the ONI
 /// index.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingVariationConfig {
     /// Standard deviation of the per-ring resonance offsets, in nm.
     pub sigma_nm: f64,
@@ -118,7 +109,7 @@ impl RingVariationConfig {
 }
 
 /// One scheme change taken during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeSwitch {
     /// Simulated time of the switch, in nanoseconds.
     pub time_ns: f64,
@@ -140,7 +131,7 @@ pub struct SchemeSwitch {
 }
 
 /// Temperature envelope of the interconnect at one epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochSample {
     /// End of the epoch, in nanoseconds.
     pub time_ns: f64,
@@ -156,7 +147,7 @@ pub struct EpochSample {
 /// scheduled workload ([`onoc_thermal::WorkloadSchedule`]): when it
 /// happened, which ONIs hopped to their new-phase wavelength assignment,
 /// and how many scheme switches the swap provoked right after.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseTransition {
     /// Index of the phase being entered (the run starts inside phase 0
     /// without a transition, so indices here start at 1).
@@ -177,7 +168,7 @@ pub struct PhaseTransition {
 }
 
 /// When and how the runtime manager re-decides a channel's operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecisionPolicy {
     /// One decision per message, taken at injection time from the prescribed
     /// temperature of the destination channel.  Only valid with a
@@ -217,8 +208,7 @@ impl DecisionPolicy {
     }
 
     /// The default epoch-gated policy (25 ns epochs, 0.5 K buckets, 1.5 K
-    /// deadband, 10 K revert hysteresis — the values of the legacy feedback
-    /// engine).
+    /// deadband, 10 K revert hysteresis).
     #[must_use]
     pub fn epoch_gated() -> Self {
         Self::EpochGated {
@@ -274,7 +264,7 @@ impl DecisionPolicy {
 /// logical-wavelength → ring permutation searched against the thermal
 /// model's own per-ONI design temperatures
 /// ([`ThermalModelSpec::design_temperatures`]) and that ONI's chip instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignAssignmentConfig {
     /// Search strategy of the assigner.
     pub strategy: AssignmentStrategy,
@@ -319,9 +309,9 @@ impl DesignAssignmentConfig {
     }
 }
 
-/// The complete, serializable description of one scenario: everything
-/// [`ScenarioBuilder`] composes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The complete description of one scenario: everything [`ScenarioBuilder`]
+/// composes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of ONIs in the interconnect.
     pub oni_count: usize,
@@ -658,8 +648,8 @@ pub struct ScenarioBuilder {
     config: ScenarioConfig,
     /// Telemetry sink threaded through the manager fleet and both run
     /// engines.  Deliberately *not* part of [`ScenarioConfig`]: a recorder
-    /// is a side channel, not a simulated quantity, so config equality,
-    /// serialization and the report stay recorder-independent.
+    /// is a side channel, not a simulated quantity, so config equality and
+    /// the report stay recorder-independent.
     recorder: RecorderHandle,
     /// Externally-injected shared operating-point cache (scale-out warm
     /// start across scenarios).  A side channel like the recorder: the cache
@@ -1009,7 +999,7 @@ impl FleetCacheSetup {
 
 /// Final state of one destination channel after a run: the unified per-ONI
 /// report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OniReport {
     /// Destination ONI index.
     pub oni: usize,
@@ -1046,7 +1036,7 @@ pub struct OniReport {
 }
 
 /// Outcome of one scenario run: the unified report of every entry point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The configuration that was simulated.
     pub config: ScenarioConfig,
@@ -1567,13 +1557,6 @@ impl Scenario {
     #[must_use]
     pub fn baseline_decision(&self) -> &ManagerDecision {
         &self.decisions[0]
-    }
-
-    /// All distinct operating points prepared before the run (baseline
-    /// first; per-message policy adds one entry per decision bucket).
-    #[must_use]
-    pub fn decisions(&self) -> &[ManagerDecision] {
-        &self.decisions
     }
 
     /// The design-time wavelength assignments of the fleet, one per ONI —

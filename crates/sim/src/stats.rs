@@ -1,9 +1,7 @@
 //! Run statistics collected by the simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate statistics of one simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimStats {
     /// Messages injected by the traffic generator.
     pub injected_messages: u64,

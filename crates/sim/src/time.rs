@@ -5,12 +5,9 @@
 //! are provided at the boundaries.
 
 use onoc_units::Nanoseconds;
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, in picoseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -10,13 +10,12 @@
 use onoc_link::TrafficClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::packet::{Message, MessageId};
 use crate::time::SimTime;
 
 /// Spatial/temporal traffic patterns supported by the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Every node sends `messages_per_node` messages to uniformly random
     /// destinations.

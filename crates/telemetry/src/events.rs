@@ -7,8 +7,6 @@
 //! [`TelemetryEvent::to_json`] / [`TelemetryEvent::from_json`]
 //! (property-tested in `tests/telemetry.rs`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::Json;
 
 /// One structured runtime event.
@@ -18,7 +16,7 @@ use crate::json::Json;
 /// repeated runs and across thread counts.  `ShardCompleted` carries a wall
 /// clock and belongs to the explicitly non-deterministic section of any
 /// aggregate (see [`crate::RegistryRecorder`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// The full photonic solver ran for one `(scheme, BER, temperature)`
     /// triple — the expensive path the operating-point cache exists to

@@ -1,13 +1,11 @@
 //! A minimal JSON document model with a writer and a recursive-descent
 //! parser.
 //!
-//! The build container has no crates.io access, so the workspace's `serde`
-//! is an inert compat stub (`crates/compat/serde`): deriving
-//! `Serialize`/`Deserialize` compiles but serializes nothing.  Telemetry,
-//! however, genuinely needs bytes on disk — the JSONL event stream and the
-//! `BENCH_scaling.json` perf-trajectory artifact are consumed by CI and by
-//! humans — so this module carries the small, dependency-free JSON kernel
-//! those writers share.  It is deliberately tiny: just enough of RFC 8259 to
+//! The build environment has no crates.io access, so no serde is
+//! available.  Telemetry, however, genuinely needs bytes on disk — the JSONL
+//! event stream and the `BENCH_scaling.json` perf-trajectory artifact are
+//! consumed by CI and by humans — so this module carries the small,
+//! dependency-free JSON kernel those writers share.  It is deliberately tiny: just enough of RFC 8259 to
 //! round-trip the event vocabulary and the metrics snapshots (no `\u`
 //! escapes beyond what the writer emits, numbers parsed as `f64`).
 

@@ -117,9 +117,8 @@ impl Recorder for MemoryRecorder {
 
 /// A sink that writes one compact JSON object per event per line (JSONL).
 ///
-/// The workspace's `serde` is an offline no-op stub, so the wire format is
-/// produced by the crate's own [`json`] kernel; [`parse_jsonl`] reads it
-/// back.  Write errors never panic a simulation — they are counted and
+/// No serde is available offline, so the wire format is produced by the
+/// crate's own [`json`] kernel; [`parse_jsonl`] reads it back.  Write errors never panic a simulation — they are counted and
 /// surfaced via [`JsonlRecorder::write_errors`].
 #[derive(Debug)]
 pub struct JsonlRecorder<W: Write + Send> {

@@ -45,10 +45,9 @@
 //! scheme genuinely cools the node.
 
 use onoc_units::Celsius;
-use serde::{Deserialize, Serialize};
 
 /// Physical parameters of the per-ONI thermal RC network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RcNetworkParameters {
     /// Package ambient temperature (the heat-sink side of `R_amb`).
     pub ambient: Celsius,
@@ -126,7 +125,7 @@ impl Default for RcNetworkParameters {
 
 /// The stateful per-ONI thermal plant: node temperatures evolved by the
 /// power the simulator deposits each epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityCoupledEnvironment {
     parameters: RcNetworkParameters,
     temperatures_c: Vec<f64>,

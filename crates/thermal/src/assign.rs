@@ -30,7 +30,6 @@
 //! so a chip designed for its hot spot can still hop back when it runs cold.
 
 use onoc_telemetry::{RecorderHandle, TelemetryEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::bank::{fnv1a_seed, fnv1a_u64, BankCompensation, BankTuningMode, RingBankState};
 use crate::tuning::ThermalTuner;
@@ -50,7 +49,7 @@ use onoc_units::KelvinDelta;
 /// assert_eq!(rotated.design_offset(1), 1);
 /// assert!(WavelengthAssignment::new(vec![0, 0, 1, 2]).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WavelengthAssignment {
     ring_for_lane: Vec<usize>,
 }
@@ -179,7 +178,7 @@ pub(crate) fn fsr_centered_slots(lane: usize, ring: usize, count: usize) -> i64 
 }
 
 /// How the assigner searches the permutation space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AssignmentStrategy {
     /// The cheaper of the best pure rotation and one greedy matching pass
     /// (lanes in grid order, each picking the cheapest still-unassigned
@@ -219,7 +218,7 @@ pub enum AssignmentStrategy {
 /// let identity = assigner.predicted_compensation(&state, &onoc_thermal::WavelengthAssignment::identity(16));
 /// assert!(assigned.total_heater_power().value() < 0.2 * identity.total_heater_power().value());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WavelengthAssigner {
     /// Heater/controller model predicting the per-ring tuning cost.
     pub tuner: ThermalTuner,

@@ -22,7 +22,6 @@
 //! consequences stay in `onoc-photonics`.
 
 use onoc_units::{KelvinDelta, Microwatts};
-use serde::{Deserialize, Serialize};
 
 use crate::assign::WavelengthAssignment;
 use crate::drift::ResonanceDrift;
@@ -47,7 +46,7 @@ use crate::tuning::ThermalTuner;
 /// assert!(offsets.iter().any(|o| o.abs() > 1e-3)); // actually varied
 /// assert!(FabricationVariation::none().offsets_nm(16).iter().all(|&o| o == 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricationVariation {
     /// Standard deviation of the per-ring resonance offset, in nanometres.
     pub sigma_nm: f64,
@@ -143,7 +142,7 @@ impl Default for FabricationVariation {
 /// The thermal part is kept in temperature units (not nanometres) so that a
 /// zero-variation bank reproduces the per-bank arithmetic *exactly* — no
 /// nm ↔ K round trip is ever taken for the common-mode term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RingBankState {
     fabrication_nm: Vec<f64>,
     thermal: KelvinDelta,
@@ -312,7 +311,7 @@ pub fn splitmix64_mix(state: u64) -> u64 {
 }
 
 /// How a bank spends its per-ring freedom when it decides to tune.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BankTuningMode {
     /// Every ring heats its own full offset back to its design resonance
     /// (the per-bank behaviour, applied ring by ring).
@@ -359,7 +358,7 @@ impl BankTuningMode {
 
 /// Outcome of tuning a whole bank: the barrel shift applied, plus the
 /// per-ring residual detuning and heater power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankCompensation {
     /// Rings of barrel shift applied (0 for pure heater / tolerate).
     pub shift: i64,

@@ -7,14 +7,13 @@
 //! to the wavelength grid.
 
 use onoc_units::{Celsius, KelvinDelta};
-use serde::{Deserialize, Serialize};
 
 /// A signed resonance shift in nanometres.
 ///
 /// Positive values are red shifts (heating moves the resonance to longer
 /// wavelengths).  This is its own type rather than `Nanometers` because the
 /// workspace's `Nanometers` is an absolute, non-negative wavelength.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct ResonanceDrift(f64);
 
 impl ResonanceDrift {
@@ -77,7 +76,7 @@ impl std::fmt::Display for ResonanceDrift {
 /// // Cooling blue-shifts symmetrically.
 /// assert!((rings.drift_at(Celsius::new(15.0)).nanometers() + 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingThermalModel {
     /// Resonance shift per kelvin of temperature rise, in nm/K.
     pub drift_nm_per_kelvin: f64,

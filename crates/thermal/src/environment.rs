@@ -11,10 +11,9 @@
 //!   package heating up under load.
 
 use onoc_units::Celsius;
-use serde::{Deserialize, Serialize};
 
 /// A time- and space-dependent temperature field over the ONIs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThermalEnvironment {
     /// Every ONI at the same constant temperature.
     Uniform {

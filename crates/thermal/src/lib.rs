@@ -46,7 +46,7 @@
 //!   prescribed traces ([`PrescribedEnvironment`]), the activity-coupled RC
 //!   network, and [`WorkloadHeatedEnvironment`] (per-ONI compute-cluster
 //!   heat injection superimposed on the link's own dissipation), with
-//!   [`ThermalModelSpec`] as the serializable description a scenario
+//!   [`ThermalModelSpec`] as the plain-data description a scenario
 //!   configuration carries.
 //!
 //! The photonic consequences (how many dB of penalty a nanometre of residual

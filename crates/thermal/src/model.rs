@@ -1,6 +1,6 @@
 //! The unified thermal substrate of a simulation: the [`ThermalModel`]
-//! trait, its three implementations, and the serializable
-//! [`ThermalModelSpec`] a scenario configuration carries.
+//! trait, its three implementations, and the [`ThermalModelSpec`]
+//! description a scenario configuration carries.
 //!
 //! Before this module the workspace had two incompatible ways of producing a
 //! temperature per ONI: the *prescribed* [`ThermalEnvironment`] traces
@@ -26,7 +26,6 @@
 //! each node.  Prescribed models simply move their clock.
 
 use onoc_units::Celsius;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::{ActivityCoupledEnvironment, RcNetworkParameters};
 use crate::environment::ThermalEnvironment;
@@ -70,7 +69,7 @@ pub trait ThermalModel: std::fmt::Debug + Send + Sync {
 
 /// A prescribed [`ThermalEnvironment`] bound to an ONI count and a clock:
 /// the [`ThermalModel`] adapter for uniform/hotspot/transient traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrescribedEnvironment {
     environment: ThermalEnvironment,
     oni_count: usize,
@@ -162,7 +161,7 @@ impl ThermalModel for ActivityCoupledEnvironment {
 /// The trace is analytic, so an epoch of any length integrates it exactly:
 /// [`WorkloadTrace::mean_power_mw`] returns the time-average over an
 /// arbitrary interval with no sampling error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadTrace {
     /// Steady injected power, in mW (the always-on share of the cluster).
     pub baseline_mw: f64,
@@ -307,7 +306,7 @@ impl WorkloadTrace {
 /// heat-injection traces superimposed on the link's own dissipation: the
 /// model for spatially non-uniform *workload* heating that still closes the
 /// electro-thermal feedback loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadHeatedEnvironment {
     network: ActivityCoupledEnvironment,
     traces: Vec<WorkloadTrace>,
@@ -391,7 +390,7 @@ impl ThermalModel for WorkloadHeatedEnvironment {
 /// *scheduled* workload.  DVFS phase steps, task migration between clusters
 /// and diurnal curves all play through this one model; within any single
 /// phase it integrates exactly like the plain workload-heated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledWorkloadEnvironment {
     network: ActivityCoupledEnvironment,
     schedule: WorkloadSchedule,
@@ -496,10 +495,10 @@ impl std::fmt::Display for ThermalModelError {
 
 impl std::error::Error for ThermalModelError {}
 
-/// The serializable description of a [`ThermalModel`]: what a scenario
+/// The plain-data description of a [`ThermalModel`]: what a scenario
 /// configuration carries, instantiated into the stateful model when the run
 /// starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ThermalModelSpec {
     /// A prescribed temperature trace (uniform / hotspot / transient).
     Prescribed {

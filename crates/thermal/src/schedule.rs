@@ -16,13 +16,11 @@
 //! re-basing.  The final phase extends to the end of the run, whatever its
 //! stated duration — a schedule never runs out of workload.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::WorkloadTrace;
 
 /// One phase of a [`WorkloadSchedule`]: a duration and one heat-injection
 /// trace per ONI, with trace times relative to the phase start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadPhase {
     /// Phase length, in nanoseconds (`f64::INFINITY` for an open-ended
     /// final phase).  Must be positive: a zero-length phase can never play.
@@ -50,7 +48,7 @@ impl WorkloadPhase {
 /// while multi-phase schedules express DVFS steps
 /// ([`WorkloadSchedule::diurnal`]) and task migration between clusters
 /// ([`WorkloadSchedule::migration`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSchedule {
     /// The phases, in play order.  The final phase extends to the end of
     /// the run regardless of its stated duration.

@@ -18,10 +18,9 @@
 //! `onoc-photonics`; this module only enumerates the candidate compensations.
 
 use onoc_units::{KelvinDelta, Microwatts};
-use serde::{Deserialize, Serialize};
 
 /// How a ring bank responds to thermal drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TuningPolicy {
     /// Never power the heaters; the link budget absorbs the full drift.
     Tolerate,
@@ -46,7 +45,7 @@ impl TuningPolicy {
 }
 
 /// One concrete choice the policy can make for a ring bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TuningAction {
     /// Leave the heaters off.
     Tolerate,
@@ -55,7 +54,7 @@ pub enum TuningAction {
 }
 
 /// Outcome of applying a tuner to a temperature excursion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalCompensation {
     /// The excursion the loop was asked to fight.
     pub requested: KelvinDelta,
@@ -95,7 +94,7 @@ impl ThermalCompensation {
 /// // …leaving a small residual lock error.
 /// assert!(c.residual.value() > 0.0 && c.residual.value() < 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalTuner {
     /// Heater power per kelvin of compensated excursion, per ring.
     pub power_per_kelvin: Microwatts,

@@ -4,8 +4,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A malformed fabric description, produced by [`Topology::new`] or
 /// [`FabricSpec::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +31,7 @@ fn invalid(reason: impl Into<String>) -> TopologyError {
 /// The derived ordering (MWSR < SWMR < electrical) is load-bearing: it is
 /// part of the canonical link order, so routers prefer photonic links over
 /// electrical fallbacks when both offer an equally short path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LinkKind {
     /// Many writers share one reader over a wavelength-striped waveguide —
     /// the paper's channel discipline.
@@ -73,7 +71,7 @@ impl fmt::Display for LinkKind {
 ///
 /// Field order matters: the derived `Ord` (kind, hub, members, group) is the
 /// canonical link order [`Topology::new`] sorts into.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LinkSpec {
     /// Transport discipline.
     pub kind: LinkKind,
@@ -196,7 +194,7 @@ fn sorted_members(members: impl IntoIterator<Item = usize>) -> Vec<usize> {
 /// waveguide group) and enforces the structural invariants, so two
 /// descriptions of the same fabric compare equal and route identically no
 /// matter the declaration order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     nodes: usize,
     links: Vec<LinkSpec>,
@@ -411,7 +409,7 @@ impl Topology {
 /// fixed traversal latency plus per-word serialisation time, burns switching
 /// energy per payload bit, and delivers error-free (the reliability burden
 /// of the paper's coding study lives entirely on the photonic hops).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectricalLinkModel {
     /// Fixed per-hop traversal latency in nanoseconds (wire flight plus
     /// router pipeline).
@@ -460,7 +458,7 @@ impl Default for ElectricalLinkModel {
 /// A [`Topology`] plus the physical knobs the elaborator and the scenario
 /// engines need: thermal crosstalk between same-group waveguides and the
 /// electrical fallback model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricSpec {
     /// The fabric graph.
     pub topology: Topology,

@@ -2,12 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::fabric::{LinkKind, Topology};
 
 /// One hop of a route: traverse `link` and arrive at `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// The node this hop arrives at.  For an MWSR hop this is the link's
     /// reader hub — the arbiter and channel that serve the transfer.
@@ -19,7 +17,7 @@ pub struct Hop {
 }
 
 /// The full path of one flow from `source` to `destination`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Originating node.
     pub source: usize,
@@ -47,7 +45,7 @@ impl Route {
 }
 
 /// All-pairs routes of a fabric, keyed by `(source, destination)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
     routes: BTreeMap<(usize, usize), Route>,
 }

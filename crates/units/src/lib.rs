@@ -60,7 +60,7 @@ pub use time::{Nanoseconds, Picoseconds, Seconds};
 /// let photocurrent = r.photocurrent(Microwatts::new(91.0));
 /// assert!((photocurrent.value() - 91.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct AmpsPerWatt(f64);
 
 impl AmpsPerWatt {

@@ -29,8 +29,6 @@ macro_rules! quantity {
             PartialEq,
             PartialOrd,
             Default,
-            serde::Serialize,
-            serde::Deserialize,
         )]
         pub struct $name(f64);
 

@@ -2,17 +2,13 @@
 //! noisy optical channel (BSC at the solver's raw BER) → deserializer →
 //! decoder → IP word, across the crate boundaries.
 
-// one pin below intentionally exercises the deprecated `Simulation` shim;
-// the builder path is pinned equivalent in tests/scenario_migration.rs.
-#![allow(deprecated)]
-
 use onoc_ecc::ecc::monte_carlo::BinarySymmetricChannel;
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::interface::{InterfaceConfig, Receiver, Transmitter};
 use onoc_ecc::link::NanophotonicLink;
 use onoc_ecc::link::TrafficClass;
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{Simulation, SimulationConfig};
+use onoc_ecc::sim::ScenarioBuilder;
 
 #[test]
 fn words_survive_the_channel_at_the_operating_point_raw_ber() {
@@ -77,23 +73,21 @@ fn uncoded_path_fails_where_hamming_succeeds() {
 fn simulator_and_link_agree_on_the_operating_point() {
     let link = NanophotonicLink::paper_link();
     let expected = link.operating_point(EccScheme::Hamming7164, 1e-11).unwrap();
-    let report = Simulation::new(SimulationConfig {
-        oni_count: 12,
-        pattern: TrafficPattern::UniformRandom {
+    let report = ScenarioBuilder::new()
+        .oni_count(12)
+        .pattern(TrafficPattern::UniformRandom {
             messages_per_node: 5,
-        },
-        class: TrafficClass::Bulk,
-        words_per_message: 4,
-        mean_inter_arrival_ns: 5.0,
-        deadline_slack_ns: None,
-        nominal_ber: 1e-11,
-        seed: 11,
-        thermal: None,
-    })
-    .unwrap()
-    .run();
-    assert_eq!(report.scheme, EccScheme::Hamming7164);
-    assert!((report.channel_power_mw - expected.channel_power.value()).abs() < 1e-6);
+        })
+        .class(TrafficClass::Bulk)
+        .words_per_message(4)
+        .mean_inter_arrival_ns(5.0)
+        .nominal_ber(1e-11)
+        .seed(11)
+        .build()
+        .unwrap()
+        .run();
+    assert_eq!(report.baseline_scheme, EccScheme::Hamming7164);
+    assert!((report.baseline_channel_power_mw - expected.channel_power.value()).abs() < 1e-6);
     // The simulator charges the static share of the channel power (laser +
     // ring heaters) over every destination channel's wall-clock residency
     // and the dynamic share (modulation + codec) over the transfer

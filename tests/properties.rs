@@ -1,9 +1,5 @@
 //! Property-based tests on the cross-crate invariants.
 
-// some properties intentionally exercise the deprecated simulation shims;
-// the builder path is pinned equivalent in tests/scenario_migration.rs.
-#![allow(deprecated)]
-
 use onoc_ecc::ber::{erfc, erfc_inv};
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::interface::{InterfaceConfig, Receiver, Transmitter};
@@ -145,18 +141,17 @@ proptest! {
     fn energy_is_zero_iff_makespan_is_zero(seed in 0u64..1000, messages in 0u64..4) {
         use onoc_ecc::link::TrafficClass;
         use onoc_ecc::sim::traffic::TrafficPattern;
-        use onoc_ecc::sim::{Simulation, SimulationConfig};
-        let report = Simulation::new(SimulationConfig {
-            oni_count: 4,
-            pattern: TrafficPattern::UniformRandom { messages_per_node: messages },
-            class: TrafficClass::Bulk,
-            words_per_message: 4,
-            mean_inter_arrival_ns: 2.0,
-            seed,
-            ..SimulationConfig::default()
-        })
-        .unwrap()
-        .run();
+        use onoc_ecc::sim::ScenarioBuilder;
+        let report = ScenarioBuilder::new()
+            .oni_count(4)
+            .pattern(TrafficPattern::UniformRandom { messages_per_node: messages })
+            .class(TrafficClass::Bulk)
+            .words_per_message(4)
+            .mean_inter_arrival_ns(2.0)
+            .seed(seed)
+            .build()
+            .unwrap()
+            .run();
         prop_assert_eq!(report.stats.energy_pj == 0.0, report.stats.makespan_ns == 0.0);
         if messages == 0 {
             prop_assert_eq!(report.stats.energy_pj, 0.0);
@@ -173,21 +168,20 @@ proptest! {
     fn feedback_energy_is_zero_iff_makespan_is_zero(seed in 0u64..1000, messages in 0u64..3) {
         use onoc_ecc::link::TrafficClass;
         use onoc_ecc::sim::traffic::TrafficPattern;
-        use onoc_ecc::sim::{FeedbackConfig, FeedbackSimulation, SimulationConfig};
-        let report = FeedbackSimulation::new(FeedbackConfig {
-            sim: SimulationConfig {
-                oni_count: 4,
-                pattern: TrafficPattern::UniformRandom { messages_per_node: messages },
-                class: TrafficClass::Bulk,
-                words_per_message: 4,
-                mean_inter_arrival_ns: 2.0,
-                seed,
-                ..SimulationConfig::default()
-            },
-            ..FeedbackConfig::default()
-        })
-        .unwrap()
-        .run();
+        use onoc_ecc::sim::{DecisionPolicy, ScenarioBuilder};
+        use onoc_ecc::thermal::RcNetworkParameters;
+        let report = ScenarioBuilder::new()
+            .oni_count(4)
+            .pattern(TrafficPattern::UniformRandom { messages_per_node: messages })
+            .class(TrafficClass::Bulk)
+            .words_per_message(4)
+            .mean_inter_arrival_ns(2.0)
+            .seed(seed)
+            .activity_coupled(RcNetworkParameters::paper_package())
+            .policy(DecisionPolicy::epoch_gated())
+            .build()
+            .unwrap()
+            .run();
         prop_assert_eq!(report.stats.energy_pj == 0.0, report.stats.makespan_ns == 0.0);
         if messages == 0 {
             prop_assert_eq!(report.stats.energy_pj, 0.0);

@@ -1,215 +1,289 @@
-//! Golden migration tests for the unified scenario surface: the deprecated
-//! entry points (`Simulation` + `ThermalScenario`, `FeedbackSimulation`)
-//! must produce reports **bit-identical** to the same scenario composed
-//! through `ScenarioBuilder`, and the builder itself must be insensitive to
-//! the order its fields are set in.
-
-// The whole point of this file is to exercise the deprecated shims against
-// the builder, so the deprecation lint is silenced here.
-#![allow(deprecated)]
+//! Tests of the scenario builder itself: the configurations it rejects and
+//! the typed error each one returns, the thread-count invariance of sharded
+//! epoch re-asks, the switch-log epoch pins, and the commutativity of its
+//! setters.
 
 use onoc_ecc::ecc::EccScheme;
-use onoc_ecc::link::TrafficClass;
+use onoc_ecc::link::{SharedOpCache, ThermalLinkStack, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{
-    DecisionPolicy, FeedbackConfig, FeedbackSimulation, RingVariationConfig, RunReport,
-    ScenarioBuilder, Simulation, SimulationConfig, ThermalScenario,
-};
+use onoc_ecc::sim::{DecisionPolicy, RingVariationConfig, ScenarioBuilder, SimulationError};
 use onoc_ecc::thermal::{BankTuningMode, RcNetworkParameters, ThermalEnvironment};
-use onoc_ecc::units::Celsius;
+use onoc_ecc::topology::{FabricSpec, LinkSpec, Topology};
+use onoc_ecc::units::{Celsius, Microwatts};
 use proptest::prelude::*;
 
-/// The builder composition equivalent to a legacy `SimulationConfig`.
-fn builder_from_sim(config: &SimulationConfig) -> ScenarioBuilder {
-    let mut builder = ScenarioBuilder::new()
-        .oni_count(config.oni_count)
-        .pattern(config.pattern)
-        .class(config.class)
-        .words_per_message(config.words_per_message)
-        .mean_inter_arrival_ns(config.mean_inter_arrival_ns)
-        .deadline_slack_ns(config.deadline_slack_ns)
-        .nominal_ber(config.nominal_ber)
-        .seed(config.seed);
-    if let Some(scenario) = &config.thermal {
-        builder = builder
-            .prescribed(scenario.environment)
-            .policy(DecisionPolicy::PerMessage {
-                quantization_k: scenario.quantization_k,
-            });
-    }
-    builder
+/// What a rejected build must return: the error variant, and a fragment of
+/// its message.
+#[derive(Debug, Clone, Copy)]
+enum Rejection {
+    Invalid(&'static str),
+    Infeasible(&'static str),
 }
 
-/// The builder composition equivalent to a legacy `FeedbackConfig`.
-fn builder_from_feedback(config: &FeedbackConfig) -> ScenarioBuilder {
-    let mut builder = builder_from_sim(&config.sim)
-        .activity_coupled(config.network)
-        .policy(DecisionPolicy::EpochGated {
-            epoch_ns: config.epoch_ns,
-            quantization_k: config.quantization_k,
-            hysteresis_k: config.hysteresis_k,
-            revert_hysteresis_k: config.revert_hysteresis_k,
-        });
-    if let Some(stack) = config.stack.clone() {
-        builder = builder.stack(stack);
-    }
-    if let Some(variation) = config.variation {
-        builder = builder.variation(variation);
-    }
-    builder
+/// One rejected configuration: a label, the builder, and its error.
+type Row = (String, ScenarioBuilder, Rejection);
+
+fn invalid(label: &str, builder: ScenarioBuilder, fragment: &'static str) -> Row {
+    (label.into(), builder, Rejection::Invalid(fragment))
 }
 
-fn sim_config(thermal: Option<ThermalScenario>) -> SimulationConfig {
-    SimulationConfig {
-        oni_count: 8,
-        pattern: TrafficPattern::UniformRandom {
-            messages_per_node: 20,
-        },
-        class: TrafficClass::LatencyFirst,
-        words_per_message: 8,
-        mean_inter_arrival_ns: 4.0,
-        deadline_slack_ns: Some(80.0),
-        nominal_ber: 1e-11,
-        seed: 31,
-        thermal,
+fn infeasible(label: &str, builder: ScenarioBuilder, fragment: &'static str) -> Row {
+    (label.into(), builder, Rejection::Infeasible(fragment))
+}
+
+/// Bulk uniform traffic over 6 ONIs at the fixed ambient (per-message).
+fn per_message() -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .oni_count(6)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 15,
+        })
+        .class(TrafficClass::Bulk)
+        .words_per_message(8)
+        .mean_inter_arrival_ns(2.0)
+        .seed(3)
+}
+
+/// Latency-first traffic over 12 ONIs playing `environment` per message.
+fn prescribed(environment: ThermalEnvironment) -> ScenarioBuilder {
+    per_message()
+        .oni_count(12)
+        .class(TrafficClass::LatencyFirst)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 8,
+        })
+        .prescribed(environment)
+        .policy(DecisionPolicy::per_message())
+}
+
+/// Latency-first traffic over 8 ONIs heated by its own dissipation.
+fn self_heated() -> ScenarioBuilder {
+    ScenarioBuilder::new()
+        .oni_count(8)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 120,
+        })
+        .class(TrafficClass::LatencyFirst)
+        .words_per_message(16)
+        .mean_inter_arrival_ns(8.0)
+        .seed(5)
+        .activity_coupled(RcNetworkParameters::paper_package())
+        .policy(DecisionPolicy::epoch_gated())
+}
+
+fn epoch_gated(epoch_ns: f64, quantization_k: f64, hysteresis_k: f64) -> DecisionPolicy {
+    DecisionPolicy::EpochGated {
+        epoch_ns,
+        quantization_k,
+        hysteresis_k,
+        revert_hysteresis_k: 10.0,
     }
 }
 
-/// Pins the legacy `Simulation` report bit-identical to the builder run.
-fn assert_simulation_equivalent(config: SimulationConfig) {
-    let legacy = Simulation::new(config.clone()).unwrap().run();
-    let unified: RunReport = builder_from_sim(&config).build().unwrap().run();
-    assert_eq!(legacy.stats, unified.stats, "stats must be bit-identical");
-    assert_eq!(legacy.scheme, unified.baseline_scheme);
-    assert_eq!(
-        legacy.channel_power_mw.to_bits(),
-        unified.baseline_channel_power_mw.to_bits()
-    );
-    assert_eq!(
-        legacy.decoded_ber.to_bits(),
-        unified.baseline_decoded_ber.to_bits()
-    );
-    if let Some(thermal) = &legacy.thermal {
-        assert_eq!(thermal.reconfigured_messages, unified.reconfigured_messages);
-        let active: Vec<_> = unified.active_onis().collect();
-        assert_eq!(thermal.per_oni.len(), active.len());
-        for (legacy_oni, unified_oni) in thermal.per_oni.iter().zip(active) {
-            assert_eq!(legacy_oni.oni, unified_oni.oni);
-            assert_eq!(
-                legacy_oni.temperature_c.to_bits(),
-                unified_oni.final_temperature_c.to_bits()
-            );
-            assert_eq!(legacy_oni.scheme, unified_oni.scheme);
-            assert_eq!(
-                legacy_oni.channel_power_mw.to_bits(),
-                unified_oni.channel_power_mw.to_bits()
-            );
-            assert_eq!(
-                legacy_oni.tuning_power_mw_per_lane.to_bits(),
-                unified_oni.tuning_power_mw_per_lane.to_bits()
-            );
+fn varied(sigma_nm: f64, mode: BankTuningMode) -> ScenarioBuilder {
+    self_heated().variation(RingVariationConfig {
+        sigma_nm,
+        seed: 0,
+        mode,
+    })
+}
+
+/// Configurations the builder rejects, with the error each must name.
+/// Rejections pinned by tests of their own (the `builder_rejects_*` tests
+/// below, `tests/assignment.rs` and `tests/topology.rs`) are not repeated,
+/// except the crosstalk-heterogeneous fabric: its topology test matches a
+/// fragment the multi-hop rejection shares.
+fn rejected_configurations() -> Vec<Row> {
+    let hotspot = ThermalEnvironment::Hotspot {
+        base: Celsius::new(30.0),
+        peak: Celsius::new(85.0),
+        center: 0,
+        decay_per_hop: 1.0,
+    };
+    let transient = ThermalEnvironment::Transient {
+        start: Celsius::new(25.0),
+        target: Celsius::new(85.0),
+        time_constant_ns: 0.0,
+    };
+    let hot = ThermalEnvironment::Uniform {
+        temperature: Celsius::new(85.0),
+    };
+    let mut drifting = ThermalLinkStack::paper_default();
+    drifting.rings.drift_nm_per_kelvin = f64::NAN;
+    let mut unsaturated = ThermalLinkStack::paper_default();
+    unsaturated.tuner.max_power_per_ring = Microwatts::new(1.0) * f64::INFINITY;
+    let no_heat_capacity = RcNetworkParameters {
+        heat_capacity_pj_per_k: 0.0,
+        ..RcNetworkParameters::paper_package()
+    };
+    let swmr = Topology::new(
+        3,
+        vec![
+            LinkSpec::mwsr(0, [2], 0),
+            LinkSpec::mwsr(1, [0], 1),
+            LinkSpec::mwsr(2, [1], 2),
+            LinkSpec::swmr(0, [2], 3),
+        ],
+    )
+    .expect("a strongly connected 3-node ring with one SWMR shortcut");
+    // multi_ring(5, 2) is single-hop, but its waveguide groups hold 3 and 2
+    // readers, so nonzero crosstalk gives the two groups different stacks.
+    let crosstalk = FabricSpec::new(Topology::multi_ring(5, 2)).with_crosstalk(0.08);
+    let snapshot = std::env::temp_dir().join("onoc-never-written-snapshot.json");
+    let coarse = SharedOpCache::with_resolution(10.0).expect("valid resolution");
+    let mut rows = vec![
+        // Traffic and platform.
+        invalid("one ONI", per_message().oni_count(1), "at least two ONIs"),
+        invalid(
+            "empty messages",
+            per_message().words_per_message(0),
+            "at least one word",
+        ),
+        invalid(
+            "BER above 0.5",
+            per_message().nominal_ber(0.7),
+            "nominal BER",
+        ),
+        infeasible(
+            "real-time traffic at an unreachable BER",
+            per_message()
+                .class(TrafficClass::RealTime)
+                .nominal_ber(1e-12),
+            "RealTime",
+        ),
+        // Prescribed thermal traces under the per-message policy.
+        invalid("hotspot decay of a whole hop", prescribed(hotspot), "decay"),
+        invalid(
+            "zero transient time constant",
+            prescribed(transient),
+            "time constant",
+        ),
+        invalid(
+            "per-message quantization of zero",
+            prescribed(ThermalEnvironment::paper_ambient()).policy(DecisionPolicy::PerMessage {
+                quantization_k: 0.0,
+            }),
+            "quantization",
+        ),
+        infeasible(
+            "real-time traffic on a uniformly hot chip",
+            prescribed(hot).class(TrafficClass::RealTime),
+            "RealTime",
+        ),
+        // The epoch-gated loop, its fleet and its thermal network.
+        invalid(
+            "negative sigma",
+            varied(-0.01, BankTuningMode::PureHeater),
+            "sigma",
+        ),
+        invalid(
+            "NaN sigma",
+            varied(f64::NAN, BankTuningMode::PureHeater),
+            "sigma",
+        ),
+        invalid(
+            "barrel shift without a window",
+            varied(0.04, BankTuningMode::BarrelShift { max_shift: 0 }),
+            "barrel-shift",
+        ),
+        invalid(
+            "NaN drift slope",
+            self_heated().stack(drifting),
+            "drift slope",
+        ),
+        invalid(
+            "infinite heater saturation",
+            self_heated().stack(unsaturated),
+            "saturation",
+        ),
+        invalid(
+            "zero epoch",
+            self_heated().policy(epoch_gated(0.0, 0.5, 1.5)),
+            "epoch",
+        ),
+        invalid(
+            "NaN epoch quantization",
+            self_heated().policy(epoch_gated(25.0, f64::NAN, 1.5)),
+            "quantization",
+        ),
+        invalid(
+            "negative hysteresis",
+            self_heated().policy(epoch_gated(25.0, 0.5, -1.0)),
+            "hysteresis",
+        ),
+        invalid(
+            "RC node without heat capacity",
+            self_heated().activity_coupled(no_heat_capacity),
+            "heat capacity",
+        ),
+        invalid(
+            "self-heated run with a negative inter-arrival time",
+            self_heated().mean_inter_arrival_ns(-1.0),
+            "inter-arrival",
+        ),
+        // Fabrics the scenario engines cannot play.
+        invalid(
+            "SWMR shortcut under the epoch-gated policy",
+            self_heated().oni_count(3).topology(swmr),
+            "SWMR",
+        ),
+        invalid(
+            "crosstalk-heterogeneous fabric under the per-message policy",
+            per_message().oni_count(5).topology(crosstalk),
+            "crosstalk-heterogeneous",
+        ),
+        // Cache wiring.
+        invalid(
+            "per-link caches with a shared cache",
+            per_message()
+                .per_link_caches()
+                .shared_cache(SharedOpCache::new()),
+            "per-link caches cannot be combined",
+        ),
+        invalid(
+            "per-link caches with a snapshot",
+            per_message().per_link_caches().cache_snapshot(&snapshot),
+            "per-link caches cannot be combined",
+        ),
+        invalid(
+            "an injected cache with a snapshot",
+            per_message()
+                .shared_cache(SharedOpCache::new())
+                .cache_snapshot(&snapshot),
+            "pick one owner",
+        ),
+        invalid(
+            "an injected cache on another resolution",
+            per_message().shared_cache(coarse).cache_resolution(20.0),
+            "buckets per kelvin but the scenario configures 20",
+        ),
+    ];
+    for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+        rows.push(invalid(
+            &format!("mean inter-arrival time {bad}"),
+            per_message().mean_inter_arrival_ns(bad),
+            "inter-arrival",
+        ));
+    }
+    rows
+}
+
+#[test]
+fn every_rejected_configuration_names_its_error() {
+    for (label, builder, expected) in rejected_configurations() {
+        let Err(err) = builder.build() else {
+            panic!("{label}: built, but must be rejected");
+        };
+        match (&err, expected) {
+            (SimulationError::InvalidConfiguration { reason }, Rejection::Invalid(fragment)) => {
+                assert!(reason.contains(fragment), "{label}: {err}");
+            }
+            (SimulationError::NoFeasibleConfiguration { .. }, Rejection::Infeasible(fragment)) => {
+                assert!(err.to_string().contains(fragment), "{label}: {err}");
+            }
+            _ => panic!("{label}: expected {expected:?}, got {err:?}"),
         }
     }
-}
-
-#[test]
-fn plain_simulation_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(None));
-}
-
-#[test]
-fn ambient_thermal_scenario_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(Some(ThermalScenario::paper_ambient())));
-}
-
-#[test]
-fn hotspot_scenario_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
-        ThermalEnvironment::Hotspot {
-            base: Celsius::new(30.0),
-            peak: Celsius::new(85.0),
-            center: 2,
-            decay_per_hop: 0.4,
-        },
-    ))));
-}
-
-#[test]
-fn transient_scenario_is_bit_identical_through_the_builder() {
-    assert_simulation_equivalent(sim_config(Some(ThermalScenario::new(
-        ThermalEnvironment::Transient {
-            start: Celsius::new(25.0),
-            target: Celsius::new(85.0),
-            time_constant_ns: 150.0,
-        },
-    ))));
-}
-
-fn feedback_config(variation: Option<RingVariationConfig>) -> FeedbackConfig {
-    FeedbackConfig {
-        sim: SimulationConfig {
-            oni_count: 6,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 80,
-            },
-            class: TrafficClass::LatencyFirst,
-            words_per_message: 16,
-            mean_inter_arrival_ns: 8.0,
-            deadline_slack_ns: None,
-            nominal_ber: 1e-11,
-            seed: 5,
-            thermal: None,
-        },
-        variation,
-        ..FeedbackConfig::default()
-    }
-}
-
-/// Pins the legacy `FeedbackSimulation` report bit-identical to the builder
-/// run.
-fn assert_feedback_equivalent(config: FeedbackConfig) {
-    let legacy = FeedbackSimulation::new(config.clone()).unwrap().run();
-    let unified: RunReport = builder_from_feedback(&config).build().unwrap().run();
-    assert_eq!(legacy.stats, unified.stats, "stats must be bit-identical");
-    assert_eq!(legacy.baseline_scheme, unified.baseline_scheme);
-    assert_eq!(legacy.epochs, unified.epochs);
-    assert_eq!(legacy.decisions, unified.decisions);
-    assert_eq!(legacy.infeasible_requests, unified.infeasible_requests);
-    assert_eq!(legacy.switch_log, unified.switch_log);
-    assert_eq!(legacy.trajectory, unified.trajectory);
-    assert_eq!(legacy.solver_cache, unified.solver_cache);
-    assert_eq!(legacy.per_oni.len(), unified.per_oni.len());
-    for (legacy_oni, unified_oni) in legacy.per_oni.iter().zip(&unified.per_oni) {
-        assert_eq!(legacy_oni.oni, unified_oni.oni);
-        assert_eq!(
-            legacy_oni.final_temperature_c.to_bits(),
-            unified_oni.final_temperature_c.to_bits()
-        );
-        assert_eq!(
-            legacy_oni.peak_temperature_c.to_bits(),
-            unified_oni.peak_temperature_c.to_bits()
-        );
-        assert_eq!(legacy_oni.scheme, unified_oni.scheme);
-        assert_eq!(
-            legacy_oni.channel_power_mw.to_bits(),
-            unified_oni.channel_power_mw.to_bits()
-        );
-        assert_eq!(legacy_oni.scheme_switches, unified_oni.scheme_switches);
-    }
-}
-
-#[test]
-fn homogeneous_feedback_is_bit_identical_through_the_builder() {
-    assert_feedback_equivalent(feedback_config(None));
-}
-
-#[test]
-fn heterogeneous_feedback_is_bit_identical_through_the_builder() {
-    assert_feedback_equivalent(feedback_config(Some(RingVariationConfig {
-        sigma_nm: 0.040,
-        seed: 11,
-        mode: BankTuningMode::PureHeater,
-    })));
 }
 
 #[test]
@@ -217,13 +291,23 @@ fn sharded_reasks_are_bit_identical_to_the_serial_loop() {
     // Heterogeneous fleets shard their per-ONI epoch re-asks across
     // threads; the ordered merge must keep the whole report (including the
     // aggregated cache counters) bit-identical at every thread count.
-    let config = feedback_config(Some(RingVariationConfig {
-        sigma_nm: 0.040,
-        seed: 11,
-        mode: BankTuningMode::PureHeater,
-    }));
     let run = |threads: usize| {
-        builder_from_feedback(&config)
+        ScenarioBuilder::new()
+            .oni_count(6)
+            .pattern(TrafficPattern::UniformRandom {
+                messages_per_node: 80,
+            })
+            .class(TrafficClass::LatencyFirst)
+            .words_per_message(16)
+            .mean_inter_arrival_ns(8.0)
+            .seed(5)
+            .activity_coupled(RcNetworkParameters::paper_package())
+            .policy(DecisionPolicy::epoch_gated())
+            .variation(RingVariationConfig {
+                sigma_nm: 0.040,
+                seed: 11,
+                mode: BankTuningMode::PureHeater,
+            })
             .threads(threads)
             .build()
             .unwrap()
@@ -248,8 +332,8 @@ fn sharded_reasks_are_bit_identical_to_the_serial_loop() {
 
 #[test]
 fn epoch_gated_policy_now_drives_prescribed_models_too() {
-    // A combination neither legacy entry point could express: the feedback
-    // engine's hysteresis machinery over a *prescribed* transient trace.
+    // The epoch-gated hysteresis machinery over a *prescribed* transient
+    // trace.
     let report = ScenarioBuilder::new()
         .oni_count(6)
         .pattern(TrafficPattern::UniformRandom {

@@ -1,16 +1,14 @@
 //! Workspace-level integration tests of the thermal subsystem: the
 //! temperature sweep acceptance behaviour, the runtime manager's thermal
-//! switching, and the simulator's scenario playback.
+//! switching, and the simulator's playback of prescribed temperature traces
+//! under the per-message policy.
 
-// the prescribed-scenario pins below intentionally exercise the deprecated
-// `Simulation`/`ThermalScenario` shims; the builder path is pinned equivalent
-// in tests/scenario_migration.rs.
-#![allow(deprecated)]
+use std::collections::BTreeSet;
 
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::link::{LinkManager, NanophotonicLink, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{Simulation, SimulationConfig, ThermalScenario};
+use onoc_ecc::sim::{DecisionPolicy, ScenarioBuilder};
 use onoc_ecc::thermal::{RingThermalModel, ThermalEnvironment, ThermalTuner};
 use onoc_ecc::units::{Celsius, KelvinDelta};
 
@@ -130,41 +128,124 @@ fn drift_model_invariants_hold_over_the_sweep() {
 
 #[test]
 fn transient_scenario_switches_schemes_mid_run() {
-    let config = SimulationConfig {
-        oni_count: 8,
-        pattern: TrafficPattern::UniformRandom {
+    let report = ScenarioBuilder::new()
+        .oni_count(8)
+        .pattern(TrafficPattern::UniformRandom {
             messages_per_node: 10,
-        },
-        class: TrafficClass::LatencyFirst,
-        words_per_message: 8,
-        mean_inter_arrival_ns: 25.0,
-        deadline_slack_ns: None,
-        nominal_ber: 1e-11,
-        seed: 21,
-        thermal: Some(ThermalScenario::new(ThermalEnvironment::Transient {
+        })
+        .class(TrafficClass::LatencyFirst)
+        .words_per_message(8)
+        .mean_inter_arrival_ns(25.0)
+        .seed(21)
+        .prescribed(ThermalEnvironment::Transient {
             start: Celsius::new(25.0),
             target: Celsius::new(85.0),
             time_constant_ns: 100.0,
-        })),
-    };
-    let report = Simulation::new(config).unwrap().run();
-    let thermal = report.thermal.unwrap();
-    assert!(thermal.reconfigured_messages > 0, "the heat-up must bite");
-    assert!(thermal.reconfigured_messages < report.stats.delivered_messages);
+        })
+        .policy(DecisionPolicy::per_message())
+        .build()
+        .unwrap()
+        .run();
+    assert!(report.reconfigured_messages > 0, "the heat-up must bite");
+    assert!(report.reconfigured_messages < report.stats.delivered_messages);
     // Most destinations take their last message hot (coded); a destination
     // whose traffic all landed early may legitimately finish uncoded.
-    let coded = thermal
-        .per_oni
-        .iter()
+    let active = report.active_onis().count();
+    let coded = report
+        .active_onis()
         .filter(|o| o.scheme == EccScheme::Hamming7164)
         .count();
     assert!(
-        2 * coded > thermal.per_oni.len(),
-        "only {coded}/{} destinations ended coded",
-        thermal.per_oni.len()
+        2 * coded > active,
+        "only {coded}/{active} destinations ended coded"
     );
     assert_eq!(
         report.stats.delivered_messages,
         report.stats.injected_messages
     );
+}
+
+/// Latency-first traffic over 12 ONIs; with an `environment` the run plays
+/// that prescribed trace under the per-message policy.
+fn prescribed_run(environment: Option<ThermalEnvironment>) -> ScenarioBuilder {
+    let builder = ScenarioBuilder::new()
+        .oni_count(12)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 8,
+        })
+        .class(TrafficClass::LatencyFirst)
+        .words_per_message(8)
+        .mean_inter_arrival_ns(2.0)
+        .seed(3);
+    match environment {
+        Some(environment) => builder
+            .prescribed(environment)
+            .policy(DecisionPolicy::per_message()),
+        None => builder,
+    }
+}
+
+#[test]
+fn ambient_thermal_scenario_matches_the_baseline_run() {
+    let plain = prescribed_run(None).build().unwrap().run();
+    let thermal = prescribed_run(Some(ThermalEnvironment::paper_ambient()))
+        .build()
+        .unwrap()
+        .run();
+    assert_eq!(plain.stats, thermal.stats);
+    assert_eq!(thermal.reconfigured_messages, 0);
+    assert!(thermal
+        .active_onis()
+        .all(|o| o.scheme == EccScheme::Uncoded));
+}
+
+#[test]
+fn hotspot_scenario_splits_the_interconnect_between_schemes() {
+    let report = prescribed_run(Some(ThermalEnvironment::Hotspot {
+        base: Celsius::new(30.0),
+        peak: Celsius::new(85.0),
+        center: 0,
+        decay_per_hop: 0.35,
+    }))
+    .build()
+    .unwrap()
+    .run();
+    assert_eq!(
+        report.baseline_scheme,
+        EccScheme::Uncoded,
+        "baseline stays uncoded"
+    );
+    let schemes: BTreeSet<EccScheme> = report.active_onis().map(|o| o.scheme).collect();
+    assert_eq!(schemes.len(), 2);
+    assert!(report.reconfigured_messages > 0);
+    let hot = report.active_onis().find(|o| o.oni == 0).unwrap();
+    assert_eq!(hot.scheme, EccScheme::Hamming7164);
+    assert!(hot.tuning_power_mw_per_lane > 0.0);
+    let far = report.active_onis().find(|o| o.oni == 6).unwrap();
+    assert_eq!(far.scheme, EccScheme::Uncoded);
+    assert!(far.final_temperature_c < hot.final_temperature_c);
+}
+
+#[test]
+fn transient_heating_reconfigures_mid_run() {
+    // A long uniform-random run under a fast heating transient: early
+    // messages ride uncoded, late messages must switch to H(71,64).
+    let report = prescribed_run(Some(ThermalEnvironment::Transient {
+        start: Celsius::new(25.0),
+        target: Celsius::new(85.0),
+        time_constant_ns: 200.0,
+    }))
+    .mean_inter_arrival_ns(20.0)
+    .build()
+    .unwrap()
+    .run();
+    assert!(report.reconfigured_messages > 0);
+    assert!(
+        report.reconfigured_messages < report.stats.delivered_messages,
+        "some early messages should still ride the uncoded path"
+    );
+    // By the end of the run every channel sits hot and coded.
+    assert!(report
+        .active_onis()
+        .all(|o| o.scheme == EccScheme::Hamming7164));
 }

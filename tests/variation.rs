@@ -2,15 +2,11 @@
 //! fabrication variation, the worst-ring link budget, barrel-shift channel
 //! hopping and the heterogeneous feedback fleets.
 
-// these pins intentionally exercise the deprecated `FeedbackSimulation` shim;
-// the builder path is pinned equivalent in tests/scenario_migration.rs.
-#![allow(deprecated)]
-
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::link::{LinkManager, NanophotonicLink, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{FeedbackConfig, FeedbackSimulation, RingVariationConfig, SimulationConfig};
-use onoc_ecc::thermal::{BankTuningMode, FabricationVariation};
+use onoc_ecc::sim::{DecisionPolicy, RingVariationConfig, ScenarioBuilder};
+use onoc_ecc::thermal::{BankTuningMode, FabricationVariation, RcNetworkParameters};
 use onoc_ecc::units::Celsius;
 
 fn varied_link(sigma_nm: f64, mode: BankTuningMode) -> NanophotonicLink {
@@ -140,28 +136,25 @@ fn worst_ring_sets_the_budget_of_a_varied_bank() {
 fn heterogeneous_fleet_switches_at_different_times() {
     // With per-ONI chip instances the self-heating switch points de-cluster:
     // the switch log must show distinct temperatures across ONIs.
-    let config = FeedbackConfig {
-        sim: SimulationConfig {
-            oni_count: 8,
-            pattern: TrafficPattern::UniformRandom {
-                messages_per_node: 120,
-            },
-            class: TrafficClass::LatencyFirst,
-            words_per_message: 16,
-            mean_inter_arrival_ns: 8.0,
-            deadline_slack_ns: None,
-            nominal_ber: 1e-11,
-            seed: 5,
-            thermal: None,
-        },
-        variation: Some(RingVariationConfig {
+    let report = ScenarioBuilder::new()
+        .oni_count(8)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 120,
+        })
+        .class(TrafficClass::LatencyFirst)
+        .words_per_message(16)
+        .mean_inter_arrival_ns(8.0)
+        .seed(5)
+        .activity_coupled(RcNetworkParameters::paper_package())
+        .policy(DecisionPolicy::epoch_gated())
+        .variation(RingVariationConfig {
             sigma_nm: 0.040,
             seed: 11,
             mode: BankTuningMode::PureHeater,
-        }),
-        ..FeedbackConfig::default()
-    };
-    let report = FeedbackSimulation::new(config).unwrap().run();
+        })
+        .build()
+        .unwrap()
+        .run();
     assert_eq!(
         report.stats.delivered_messages,
         report.stats.injected_messages

@@ -32,7 +32,10 @@ where
 
 /// [`parallel_map`] with per-shard telemetry: each worker emits one
 /// [`TelemetryEvent::ShardCompleted`] (tagged with `label`) carrying its
-/// item count and wall-clock duration.
+/// item count and wall-clock duration.  A call that clamps to one shard
+/// (one item, or a budget of one) runs inline on the calling thread: it
+/// spawns no worker and emits no event, so callers need no serial fallback
+/// of their own.
 ///
 /// Shard events are wall-clock data and their *count* depends on the shard
 /// split, so recorders must keep them out of deterministic aggregates (the
@@ -54,6 +57,9 @@ where
         return Vec::new();
     }
     let shards = shards.clamp(1, items.len());
+    if shards == 1 {
+        return items.iter().map(f).collect();
+    }
     let chunk_size = items.len().div_ceil(shards);
     let f = &f;
     std::thread::scope(|scope| {
@@ -110,6 +116,22 @@ mod tests {
         }
         assert!(parallel_map(&[] as &[u64], 4, |&x| x).is_empty());
         assert!(default_shards() >= 1);
+    }
+
+    #[test]
+    fn one_shard_runs_inline_without_an_event() {
+        let memory = std::sync::Arc::new(onoc_telemetry::MemoryRecorder::new());
+        let handle = RecorderHandle::new(memory.clone());
+        let caller = std::thread::current().id();
+        let on_caller = |_: &u64| std::thread::current().id() == caller;
+        for (items, shards) in [(vec![7u64], 4), (vec![1, 2, 3], 1)] {
+            let out = parallel_map_traced(&items, shards, on_caller, &handle, "inline");
+            assert_eq!(out, vec![true; items.len()], "{shards} shards");
+        }
+        assert!(memory.events().is_empty(), "an inline call emits nothing");
+        // Two shards still fan out to workers, one event each.
+        let out = parallel_map_traced(&[1u64, 2], 2, on_caller, &handle, "fan-out");
+        assert_eq!((out, memory.events().len()), (vec![false, false], 2));
     }
 
     #[test]

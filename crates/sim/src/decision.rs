@@ -187,6 +187,28 @@ pub(crate) fn conditional_corrupted_bits(rng: &mut StdRng, bits: u32, ber: f64) 
     u64::from(k)
 }
 
+/// Samples the residual-error outcome of one transfer: `(corrupted words,
+/// corrupted bits, corrected words)` over `words` 64-bit words at `point`.
+pub(crate) fn sample_word_errors(
+    rng: &mut StdRng,
+    words: u64,
+    point: &DecisionParams,
+) -> (u64, u64, u64) {
+    let mut corrupted_words = 0u64;
+    let mut corrupted_bits = 0u64;
+    let mut corrected_words = 0u64;
+    for _ in 0..words {
+        if rng.gen_bool(point.word_error_probability.clamp(0.0, 1.0)) {
+            corrupted_words += 1;
+            corrupted_bits += conditional_corrupted_bits(rng, 64, point.decoded_ber);
+        }
+        if rng.gen_bool(point.corrected_probability.clamp(0.0, 1.0)) {
+            corrected_words += 1;
+        }
+    }
+    (corrupted_words, corrupted_bits, corrected_words)
+}
+
 /// Bucket index of `temperature_c` on a grid of `step_k`-kelvin buckets
 /// centred on multiples of the step: the decision grid of both policies.
 pub(crate) fn bucket_index(temperature_c: f64, step_k: f64) -> i64 {

@@ -25,6 +25,19 @@
 //! wall-clock residency and the dynamic share (modulation + codec) over
 //! transfer occupancy.
 //!
+//! # Modules
+//!
+//! * [`scenario`] — the surface and both engines: `config`, `builder` and
+//!   `report` hold [`ScenarioConfig`], [`ScenarioBuilder`] and
+//!   [`RunReport`]; `per_message` and `epoch` hold one engine each (the
+//!   first says why there are two; the second shares one grant, one
+//!   hop-completion and one re-ask routine between its playback modes);
+//! * `decision` — what both engines share: [`SimulationError`], the event
+//!   entry, a decision's transmission parameters, residual-error sampling
+//!   and the temperature bucket grid;
+//! * [`traffic`], [`packet`], [`arbiter`], [`stats`], [`time`] — traffic,
+//!   messages, the MWSR token arbiter, statistics and the picosecond clock.
+//!
 //! # Example
 //!
 //! ```
@@ -45,6 +58,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod arbiter;
 mod decision;

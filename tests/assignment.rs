@@ -212,25 +212,6 @@ fn mis_sized_stack_assignment_is_a_configuration_error() {
 }
 
 #[test]
-fn per_message_policy_rejects_design_assignment() {
-    let err = ScenarioBuilder::new()
-        .design_assignment(DesignAssignmentConfig::greedy_refine(1))
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("epoch-gated"), "{err}");
-    // Epoch-gated over a prescribed trace accepts it.
-    assert!(ScenarioBuilder::new()
-        .oni_count(4)
-        .pattern(TrafficPattern::UniformRandom {
-            messages_per_node: 5
-        })
-        .design_assignment(DesignAssignmentConfig::greedy_refine(1))
-        .policy(DecisionPolicy::epoch_gated())
-        .build()
-        .is_ok());
-}
-
-#[test]
 fn assignment_composes_with_runtime_barrel_shift_on_the_link() {
     // A chip assigned for 85 °C but running cold: pure heating pays for the
     // baked-in rotation, the runtime barrel shift hops back for free.

@@ -1,12 +1,15 @@
-//! Tests of the scenario builder itself: the configurations it rejects and
-//! the typed error each one returns, the thread-count invariance of sharded
-//! epoch re-asks, the switch-log epoch pins, and the commutativity of its
+//! Tests of the scenario builder itself: one table of the configurations
+//! it rejects and the typed error each one returns, with the valid
+//! counterparts that still build; the thread-count invariance of sharded
+//! epoch re-asks; the switch-log epoch pins; and the commutativity of its
 //! setters.
 
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::link::{SharedOpCache, ThermalLinkStack, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{DecisionPolicy, RingVariationConfig, ScenarioBuilder, SimulationError};
+use onoc_ecc::sim::{
+    DecisionPolicy, DesignAssignmentConfig, RingVariationConfig, ScenarioBuilder, SimulationError,
+};
 use onoc_ecc::thermal::{BankTuningMode, RcNetworkParameters, ThermalEnvironment};
 use onoc_ecc::topology::{FabricSpec, LinkSpec, Topology};
 use onoc_ecc::units::{Celsius, Microwatts};
@@ -88,11 +91,16 @@ fn varied(sigma_nm: f64, mode: BankTuningMode) -> ScenarioBuilder {
     })
 }
 
+/// A per-ONI chip fleet (σ = 80 pm).
+fn chips() -> RingVariationConfig {
+    RingVariationConfig {
+        sigma_nm: 0.08,
+        seed: 7,
+        mode: BankTuningMode::PureHeater,
+    }
+}
+
 /// Configurations the builder rejects, with the error each must name.
-/// Rejections pinned by tests of their own (the `builder_rejects_*` tests
-/// below, `tests/assignment.rs` and `tests/topology.rs`) are not repeated,
-/// except the crosstalk-heterogeneous fabric: its topology test matches a
-/// fragment the multi-hop rejection shares.
 fn rejected_configurations() -> Vec<Row> {
     let hotspot = ThermalEnvironment::Hotspot {
         base: Celsius::new(30.0),
@@ -221,7 +229,49 @@ fn rejected_configurations() -> Vec<Row> {
             self_heated().mean_inter_arrival_ns(-1.0),
             "inter-arrival",
         ),
+        // Combinations only the epoch-gated engine can play: the per-message
+        // engine keeps one fleet-wide baseline for static-power residency
+        // and switch bookkeeping, so per-ONI chips or assignments would
+        // mis-account idle energy and log phantom switches.
+        invalid(
+            "per-message policy over an activity-coupled model",
+            ScenarioBuilder::new()
+                .activity_coupled(RcNetworkParameters::paper_package())
+                .policy(DecisionPolicy::per_message()),
+            "need the epoch-gated policy",
+        ),
+        invalid(
+            "explicit per-message policy over a varied fleet",
+            ScenarioBuilder::new()
+                .variation(chips())
+                .policy(DecisionPolicy::per_message()),
+            "fabrication variation requires the epoch-gated policy",
+        ),
+        invalid(
+            "implicit per-message policy over a varied fleet",
+            ScenarioBuilder::new().variation(chips()),
+            "fabrication variation requires the epoch-gated policy",
+        ),
+        invalid(
+            "design assignment under the per-message policy",
+            ScenarioBuilder::new().design_assignment(DesignAssignmentConfig::greedy_refine(1)),
+            "wavelength assignment requires the epoch-gated policy",
+        ),
         // Fabrics the scenario engines cannot play.
+        invalid(
+            "4-node fabric over 6 ONIs",
+            self_heated()
+                .oni_count(6)
+                .topology(Topology::single_ring(4)),
+            "spans 4 nodes but the scenario has 6 ONIs",
+        ),
+        invalid(
+            "multi-hop fabric under the per-message policy",
+            per_message()
+                .oni_count(8)
+                .topology(Topology::hybrid_mesh(8, 4)),
+            "multi-hop topologies require the epoch-gated policy",
+        ),
         invalid(
             "SWMR shortcut under the epoch-gated policy",
             self_heated().oni_count(3).topology(swmr),
@@ -263,6 +313,13 @@ fn rejected_configurations() -> Vec<Row> {
             &format!("mean inter-arrival time {bad}"),
             per_message().mean_inter_arrival_ns(bad),
             "inter-arrival",
+        ));
+    }
+    for bad in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+        rows.push(invalid(
+            &format!("cache resolution {bad}"),
+            ScenarioBuilder::new().cache_resolution(bad),
+            "cache resolution",
         ));
     }
     rows
@@ -438,15 +495,7 @@ fn switch_log_epoch_indices_are_pinned() {
 }
 
 #[test]
-fn builder_rejects_invalid_cache_resolutions() {
-    for bad in [0.0, -2.0, f64::NAN, f64::INFINITY] {
-        let err = ScenarioBuilder::new()
-            .cache_resolution(bad)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("cache resolution"), "{bad}: {err}");
-    }
-    // A valid override still builds and runs.
+fn a_valid_cache_resolution_override_builds_and_delivers() {
     let report = ScenarioBuilder::new()
         .oni_count(4)
         .pattern(TrafficPattern::UniformRandom {
@@ -463,43 +512,23 @@ fn builder_rejects_invalid_cache_resolutions() {
 }
 
 #[test]
-fn builder_rejects_per_message_policy_over_coupled_models() {
-    let err = ScenarioBuilder::new()
-        .activity_coupled(RcNetworkParameters::paper_package())
-        .policy(DecisionPolicy::per_message())
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("epoch-gated"), "{err}");
-}
-
-#[test]
-fn builder_rejects_per_message_policy_over_heterogeneous_fleets() {
-    // The per-message engine keeps one fleet-wide baseline for static-power
-    // residency and switch bookkeeping; mixing it with per-ONI chip
-    // instances would mis-account idle energy and log phantom switches, so
-    // the combination is rejected up front.  The epoch-gated policy carries
-    // per-ONI baselines and accepts the same fleet.
-    let variation = RingVariationConfig {
-        sigma_nm: 0.08,
-        seed: 7,
-        mode: BankTuningMode::PureHeater,
-    };
-    let err = ScenarioBuilder::new()
-        .variation(variation)
-        .policy(DecisionPolicy::per_message())
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("epoch-gated"), "{err}");
-    // Implicit per-message (prescribed default policy) is rejected too.
-    let err = ScenarioBuilder::new()
-        .variation(variation)
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("epoch-gated"), "{err}");
-    // The same fleet under the epoch-gated policy builds fine.
+fn heterogeneous_fleets_build_under_the_epoch_gated_policy() {
+    // The table rejects per-ONI chips and per-ONI design assignments under
+    // the per-message policy; the epoch-gated policy carries per-ONI
+    // baselines and accepts both.
     assert!(ScenarioBuilder::new()
-        .variation(variation)
+        .variation(chips())
         .activity_coupled(RcNetworkParameters::paper_package())
+        .policy(DecisionPolicy::epoch_gated())
+        .build()
+        .is_ok());
+    // Epoch-gated over a prescribed trace accepts a design assignment.
+    assert!(ScenarioBuilder::new()
+        .oni_count(4)
+        .pattern(TrafficPattern::UniformRandom {
+            messages_per_node: 5
+        })
+        .design_assignment(DesignAssignmentConfig::greedy_refine(1))
         .policy(DecisionPolicy::epoch_gated())
         .build()
         .is_ok());

@@ -1,9 +1,10 @@
 //! Generic conformance suite for every [`ThermalModel`] implementation.
 //!
 //! The unified simulation surface drives `dyn ThermalModel` without knowing
-//! which physics sits behind it, so all three families — the prescribed
-//! trace adapter, the activity-coupled RC network and the workload-heated
-//! network — must honour the same contract:
+//! which physics sits behind it, so all four families — the prescribed
+//! trace adapter, the activity-coupled RC network, the workload-heated
+//! network and the phase-scheduled (workload-scheduled) network — must
+//! honour the same contract:
 //!
 //! * `oni_count` is stable for the lifetime of the model;
 //! * `advance` only ever moves time forward: zero-duration steps are

@@ -5,19 +5,23 @@
 //! * the hybrid mesh relays every inter-cluster message over multiple hops
 //!   and still delivers all traffic;
 //! * topology runs speak the `route_resolved` / `hop_traversed` telemetry
-//!   vocabulary;
-//! * structural misconfigurations (node-count mismatch, multi-hop or
-//!   crosstalk-heterogeneous fabrics under the per-message policy) are
-//!   rejected at build time.
+//!   vocabulary, and each message's hop trace follows its route: hop
+//!   indices 0..k, the route's nodes and its electrical flags in order (one
+//!   event at the destination on the single ring);
+//! * a crosstalk-heterogeneous fabric is rejected under the per-message
+//!   policy and plays under the epoch-gated one.  The other structural
+//!   rejections (node-count mismatch, multi-hop under the per-message
+//!   policy) are rows of the rejection table in `tests/scenario_builder.rs`.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use onoc_ecc::link::TrafficClass;
-use onoc_ecc::sim::traffic::TrafficPattern;
-use onoc_ecc::sim::{DecisionPolicy, RunReport, ScenarioBuilder, SimulationError};
+use onoc_ecc::sim::traffic::{TrafficGenerator, TrafficPattern};
+use onoc_ecc::sim::{DecisionPolicy, Message, RunReport, ScenarioBuilder, SimulationError};
 use onoc_ecc::telemetry::{MemoryRecorder, RecorderHandle, TelemetryEvent};
 use onoc_ecc::thermal::RcNetworkParameters;
-use onoc_ecc::topology::{FabricSpec, Topology};
+use onoc_ecc::topology::{FabricSpec, LinkKind, Router, Topology};
 
 fn base_builder(oni_count: usize, epoch_gated: bool) -> ScenarioBuilder {
     let builder = ScenarioBuilder::new()
@@ -133,28 +137,96 @@ fn topology_runs_emit_route_and_hop_events() {
     );
 }
 
-#[test]
-fn node_count_mismatch_is_rejected() {
-    let err = base_builder(6, true)
-        .topology(Topology::single_ring(4))
-        .build()
-        .expect_err("4-node fabric over 6 ONIs must not build");
-    let SimulationError::InvalidConfiguration { reason } = err else {
-        panic!("wrong error variant");
-    };
-    assert!(reason.contains("4 nodes"), "{reason}");
+/// Each message's `hop_traversed` events, in emission order, keyed by
+/// message id.
+fn hop_trails(events: &[TelemetryEvent]) -> BTreeMap<u64, Vec<(u64, u64, bool)>> {
+    let mut trails: BTreeMap<u64, Vec<(u64, u64, bool)>> = BTreeMap::new();
+    for event in events {
+        if let TelemetryEvent::HopTraversed {
+            message,
+            node,
+            hop_index,
+            electrical,
+            ..
+        } = event
+        {
+            trails
+                .entry(*message)
+                .or_default()
+                .push((*hop_index, *node, *electrical));
+        }
+    }
+    trails
+}
+
+/// The messages `builder` injects, by id.
+fn traffic(builder: &ScenarioBuilder) -> BTreeMap<u64, Message> {
+    let config = builder.config();
+    TrafficGenerator::new(
+        config.pattern,
+        config.oni_count,
+        config.words_per_message,
+        config.class,
+        config.mean_inter_arrival_ns,
+        config.deadline_slack_ns,
+        config.seed,
+    )
+    .generate()
+    .into_iter()
+    .map(|message| (message.id.0, message))
+    .collect()
 }
 
 #[test]
-fn multi_hop_requires_the_epoch_gated_policy() {
-    let err = base_builder(8, false)
-        .topology(Topology::hybrid_mesh(8, 4))
+fn relayed_hop_trace_follows_each_route() {
+    let fabric = Topology::hybrid_mesh(8, 4);
+    let routes = Router::resolve(&fabric);
+    let builder = base_builder(8, true).topology(fabric);
+    let messages = traffic(&builder);
+    let memory = Arc::new(MemoryRecorder::new());
+    let report = builder
+        .telemetry(RecorderHandle::new(memory.clone()))
         .build()
-        .expect_err("multi-hop under the per-message policy must not build");
-    let SimulationError::InvalidConfiguration { reason } = err else {
-        panic!("wrong error variant");
-    };
-    assert!(reason.contains("epoch-gated"), "{reason}");
+        .expect("hybrid-mesh scenario builds")
+        .run();
+    assert_eq!(report.stats.injected_messages, messages.len() as u64);
+    let trails = hop_trails(&memory.events());
+    assert_eq!(trails.len(), messages.len(), "every message leaves a trail");
+    for (id, trail) in &trails {
+        let message = messages[id];
+        let route = routes.route(message.source, message.destination);
+        let expected: Vec<(u64, u64, bool)> = route
+            .hops
+            .iter()
+            .enumerate()
+            .map(|(index, hop)| {
+                let electrical = hop.kind == LinkKind::Electrical;
+                (index as u64, hop.node as u64, electrical)
+            })
+            .collect();
+        assert_eq!(trail, &expected, "message {id}");
+    }
+}
+
+#[test]
+fn single_ring_hop_trace_is_one_event_at_the_destination() {
+    for epoch_gated in [false, true] {
+        let builder = base_builder(6, epoch_gated).topology(Topology::single_ring(6));
+        let messages = traffic(&builder);
+        let memory = Arc::new(MemoryRecorder::new());
+        let report = builder
+            .telemetry(RecorderHandle::new(memory.clone()))
+            .build()
+            .expect("single-ring scenario builds")
+            .run();
+        assert_eq!(report.stats.injected_messages, messages.len() as u64);
+        let trails = hop_trails(&memory.events());
+        assert_eq!(trails.len(), messages.len(), "epoch_gated = {epoch_gated}");
+        for (id, trail) in &trails {
+            let destination = messages[id].destination as u64;
+            assert_eq!(trail, &vec![(0, destination, false)], "message {id}");
+        }
+    }
 }
 
 #[test]

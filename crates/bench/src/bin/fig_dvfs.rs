@@ -109,9 +109,9 @@ struct PhaseCost {
 /// seeded chip instances and assigner searches.
 fn analytic_phase_costs() -> Vec<PhaseCost> {
     let schedule = migration();
-    let spec = ThermalModelSpec::WorkloadScheduled {
+    let spec = ThermalModelSpec::RcNetwork {
         network: package(),
-        schedule: schedule.clone(),
+        workload: Some(schedule.clone()),
     };
     let phase_maps = spec
         .phase_design_temperatures(ONIS)

@@ -37,7 +37,7 @@ fn main() {
         "activity-driven heating: the link's own dissipation drives the scheme choice",
     );
     let config = base_config();
-    let ThermalModelSpec::ActivityCoupled { network } = config.thermal else {
+    let ThermalModelSpec::RcNetwork { network, .. } = config.thermal else {
         unreachable!("the base config is activity-coupled");
     };
     let DecisionPolicy::EpochGated {

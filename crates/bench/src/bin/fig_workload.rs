@@ -5,10 +5,11 @@
 //! channels near the cluster fall back to H(71,64) while the far side keeps
 //! riding the uncoded path.
 //!
-//! A prescribed trace has no self-heating feedback, and the activity-coupled
-//! model alone heats the chip only with the link's own uniform dissipation.
-//! The scenario needs `ScenarioBuilder::workload_heated`, composing a
-//! `WorkloadHeatedEnvironment` with the epoch-gated decision policy.
+//! A prescribed trace has no self-heating feedback, and the RC network
+//! without a workload heats the chip only with the link's own uniform
+//! dissipation.  The scenario needs `ScenarioBuilder::workload_heated`: the
+//! RC network with a one-phase workload of per-ONI cluster traces, under the
+//! epoch-gated decision policy.
 //!
 //! Run with `cargo run -p onoc-bench --bin fig_workload`.
 

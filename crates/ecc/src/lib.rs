@@ -42,7 +42,6 @@
 //! * [`repetition`], [`parity`], [`uncoded`] — baselines.
 //! * [`ber`] — analytic BER transfer functions (Eq. 2 of the paper).
 //! * [`monte_carlo`] — binary-symmetric-channel simulation.
-//! * [`interleave`] — bit interleaving across wavelengths.
 //! * [`scheme`] — the [`scheme::EccScheme`] registry used by the rest of the
 //!   workspace.
 
@@ -54,7 +53,6 @@ pub mod bits;
 pub mod code;
 pub mod extended;
 pub mod hamming;
-pub mod interleave;
 pub mod monte_carlo;
 pub mod parity;
 pub mod repetition;

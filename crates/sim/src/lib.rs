@@ -15,8 +15,8 @@
 //! against bit-true decoding.
 //!
 //! All runs go through one surface: [`ScenarioBuilder`] composes traffic, a
-//! thermal model ([`onoc_thermal::ThermalModelSpec`]: prescribed traces, the
-//! activity-coupled RC network, or workload-heated compute clusters), a
+//! thermal model ([`onoc_thermal::ThermalModelSpec`]: prescribed traces, or
+//! the RC network heated by the link and an optional compute workload), a
 //! decision policy ([`DecisionPolicy`]: per-message or the epoch-gated
 //! feedback loop), the link fleet (stack, per-ONI fabrication variation,
 //! cache resolution) and a thread budget into a [`Scenario`] whose

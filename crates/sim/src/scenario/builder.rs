@@ -139,14 +139,17 @@ impl ScenarioBuilder {
     /// network.
     #[must_use]
     pub fn activity_coupled(self, network: RcNetworkParameters) -> Self {
-        self.thermal_model(ThermalModelSpec::ActivityCoupled { network })
+        self.thermal_model(ThermalModelSpec::RcNetwork {
+            network,
+            workload: None,
+        })
     }
 
     /// Heats the run with the link's dissipation *plus* per-ONI workload
-    /// heat-injection traces (one per ONI).
+    /// heat-injection traces (one per ONI), as a one-phase schedule.
     #[must_use]
     pub fn workload_heated(self, network: RcNetworkParameters, traces: Vec<WorkloadTrace>) -> Self {
-        self.thermal_model(ThermalModelSpec::WorkloadHeated { network, traces })
+        self.workload_scheduled(network, WorkloadSchedule::single(traces))
     }
 
     /// Heats the run with the link's dissipation plus a phase-scheduled
@@ -162,7 +165,10 @@ impl ScenarioBuilder {
         network: RcNetworkParameters,
         schedule: WorkloadSchedule,
     ) -> Self {
-        self.thermal_model(ThermalModelSpec::WorkloadScheduled { network, schedule })
+        self.thermal_model(ThermalModelSpec::RcNetwork {
+            network,
+            workload: Some(schedule),
+        })
     }
 
     /// Sets the decision policy explicitly (the default follows the thermal

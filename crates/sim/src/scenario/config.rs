@@ -66,8 +66,8 @@ impl RingVariationConfig {
 pub enum DecisionPolicy {
     /// One decision per message, taken at injection time from the prescribed
     /// temperature of the destination channel.  Only valid with a
-    /// [`ThermalModelSpec::Prescribed`] model — per-message precomputation
-    /// cannot see temperatures the traffic itself will create.
+    /// prescribed thermal model — per-message precomputation cannot see
+    /// temperatures the traffic itself will create.
     PerMessage {
         /// Temperature quantization of the decision cache, in kelvin:
         /// injections within the same bucket share one operating point.
@@ -299,7 +299,7 @@ impl ScenarioConfig {
     /// [`SimulationError::InvalidConfiguration`] for structural problems:
     /// too few ONIs, empty messages, a BER outside (0, 0.5), a degenerate
     /// arrival process, an invalid thermal model or policy, a per-message
-    /// policy over an activity-coupled model, an invalid stack/variation, or
+    /// policy over an RC-network model, an invalid stack/variation, or
     /// a degenerate cache resolution.
     pub fn validate(&self) -> Result<(), SimulationError> {
         if self.oni_count < 2 {
@@ -324,8 +324,7 @@ impl ScenarioConfig {
         if per_message && self.thermal.is_activity_coupled() {
             return Err(invalid(
                 "per-message decisions replay a prescribed thermal model; \
-                 activity-coupled and workload-heated models need the \
-                 epoch-gated policy",
+                 RC-network thermal models need the epoch-gated policy",
             ));
         }
         if per_message && self.variation.is_some() {
@@ -387,7 +386,7 @@ impl ScenarioConfig {
 
     /// The fabric half of [`ScenarioConfig::validate`]: the topology must
     /// span the ONIs, use no SWMR hop, and — under the per-message policy —
-    /// be single-hop and crosstalk-homogeneous.
+    /// route every flow over one MWSR hop and be crosstalk-homogeneous.
     fn validate_topology(&self, per_message: bool) -> Result<(), SimulationError> {
         let Some(fabric) = &self.topology else {
             return Ok(());
@@ -408,12 +407,11 @@ impl ScenarioConfig {
             ));
         }
         if per_message && !routes.is_single_hop() {
-            // The per-message engine precomputes one decision per
-            // injection; a message relayed through intermediate routers
-            // needs the per-hop grant bookkeeping only the epoch-gated
-            // engine maintains.
+            // The per-message engine precomputes one photonic decision per
+            // injection; relayed messages and electrical hops need the
+            // per-hop grants and wire pricing only the epoch-gated relay has.
             return Err(invalid(
-                "multi-hop topologies require the epoch-gated policy",
+                "multi-hop topologies and electrical hops require the epoch-gated policy",
             ));
         }
         if per_message && self.topology_fleet_is_heterogeneous() {

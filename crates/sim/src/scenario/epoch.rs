@@ -1,7 +1,7 @@
 //! The epoch-gated engine: event-driven traffic over an epoch-stepped
 //! [`ThermalModel`].  Each epoch enters the phases it reached, plays its
-//! events (relayed hop by hop over a multi-hop fabric, else sharded by
-//! destination channel), then charges its energy, steps the model, re-asks
+//! events (relayed hop by hop over a fabric with multi-hop or electrical
+//! routes, else sharded by destination channel), then charges its energy, steps the model, re-asks
 //! drifted channels and samples the temperatures.  Both playback modes grant
 //! through `Context::grant_next` and account hops through
 //! `Context::complete_hop`; both re-ask sites go through
@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use onoc_link::{LinkManager, ManagerDecision};
 use onoc_parallel::parallel_map_traced;
 use onoc_telemetry::{RecorderHandle, TelemetryEvent};
-use onoc_thermal::{ThermalModel, ThermalModelSpec};
+use onoc_thermal::ThermalModel;
 use onoc_topology::{ElectricalLinkModel, LinkKind, RouteTable};
 use onoc_units::Celsius;
 use rand::rngs::StdRng;
@@ -218,10 +218,10 @@ struct Context<'a> {
     /// so event order at equal times never depends on how earlier epochs
     /// were played.
     completion_sequence: BTreeMap<MessageId, u64>,
-    /// The route table of a multi-hop fabric: its traffic relays serially
-    /// with per-hop grants.  Single-hop traffic (the canonical ring and any
-    /// single-hop fabric) partitions by destination channel and fans out
-    /// across threads.
+    /// The route table of a fabric with a multi-hop or electrical route:
+    /// its traffic relays serially with per-hop grants.  Traffic that rides
+    /// one MWSR hop per route (the canonical ring and any such fabric)
+    /// partitions by destination channel and fans out across threads.
     relay: Option<&'a RouteTable>,
     electrical: ElectricalLinkModel,
     shards: usize,
@@ -445,14 +445,6 @@ impl<'a> EpochRun<'a> {
     fn new(setup: &'a Setup, state: EpochState) -> Self {
         let injections = setup.injection_order.len() as u64;
         let completion_sequence = (injections..).zip(&setup.injection_order);
-        let phase_boundaries = match &setup.config.thermal {
-            ThermalModelSpec::WorkloadScheduled { schedule, .. } => schedule
-                .phase_starts()
-                .iter()
-                .map(|&ns| SimTime::from_nanos(ns))
-                .collect(),
-            _ => vec![SimTime::ZERO],
-        };
         let ctx = Context {
             setup,
             policy: state.policy,
@@ -464,7 +456,9 @@ impl<'a> EpochRun<'a> {
                 .as_ref()
                 .map_or_else(ElectricalLinkModel::paper_fallback, |f| f.electrical),
             shards: setup.config.shards(),
-            phase_boundaries,
+            phase_boundaries: (setup.config.thermal.phase_starts().into_iter())
+                .map(SimTime::from_nanos)
+                .collect(),
         };
         Self {
             ctx,
@@ -556,7 +550,7 @@ impl<'a> EpochRun<'a> {
         }
     }
 
-    /// Relays the epoch's due events over a multi-hop fabric, hop by hop,
+    /// Relays the epoch's due events over the fabric, hop by hop,
     /// queueing at every router's per-destination arbiter along the way.
     fn relay(&mut self, routes: &RouteTable, epoch_end: SimTime) {
         while let Some(event) = self.pop_due(epoch_end) {

@@ -4,8 +4,8 @@
 //!
 //! * **traffic** (pattern, class, message geometry, arrival process, seed),
 //! * a **thermal model** ([`onoc_thermal::ThermalModelSpec`]: prescribed
-//!   environments, the activity-coupled RC network, or workload-heated
-//!   compute clusters),
+//!   environments, or the RC network heated by the link's own dissipation
+//!   and, optionally, by a phased compute workload),
 //! * a **decision policy** ([`DecisionPolicy`]: per-message decisions at
 //!   injection time, or the epoch-gated feedback loop with hysteresis),
 //! * the **link fleet** (thermal stack, per-ONI fabrication variation,

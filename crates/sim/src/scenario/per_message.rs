@@ -190,8 +190,8 @@ impl<'a> PerMessageRun<'a> {
         let duration_ns = point.transfer_duration(message.words).value();
         let stats = &mut self.report.stats;
         stats.delivered_messages += 1;
-        // The per-message policy only admits single-hop fabrics: every
-        // delivery is exactly one hop onto the destination's reader channel.
+        // The per-message policy only admits fabrics whose routes are one
+        // MWSR hop: every delivery lands on the destination's reader channel.
         stats.hops_traversed += 1;
         if self.setup.routes.is_some() {
             self.setup.recorder.emit(|| TelemetryEvent::HopTraversed {

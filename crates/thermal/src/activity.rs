@@ -17,11 +17,16 @@
 //! * a coupling resistance `R_c` to each ring neighbour (lateral spreading
 //!   through the interposer).
 //!
-//! The node equation integrated by [`ActivityCoupledEnvironment::step`] is
+//! The node equation integrated by [`ThermalModel::advance`] is
 //!
 //! ```text
 //! C · dT_i/dt = P_i(t) − (T_i − T_amb)/R_amb − Σ_{j∈N(i)} (T_i − T_j)/R_c
 //! ```
+//!
+//! where `P_i` is the link's own dissipation plus, when the network carries
+//! a [`WorkloadSchedule`], the compute heat that schedule injects into the
+//! node: a hot accelerator under one corner of the interposer warms the
+//! channels near it while the link's own power still closes the loop.
 //!
 //! # Units
 //!
@@ -45,6 +50,9 @@
 //! scheme genuinely cools the node.
 
 use onoc_units::Celsius;
+
+use crate::model::ThermalModel;
+use crate::schedule::WorkloadSchedule;
 
 /// Physical parameters of the per-ONI thermal RC network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,11 +132,14 @@ impl Default for RcNetworkParameters {
 }
 
 /// The stateful per-ONI thermal plant: node temperatures evolved by the
-/// power the simulator deposits each epoch.
+/// power the simulator deposits each epoch, plus the compute heat of an
+/// optional workload schedule, on a clock that starts at zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivityCoupledEnvironment {
     parameters: RcNetworkParameters,
     temperatures_c: Vec<f64>,
+    workload: Option<WorkloadSchedule>,
+    time_ns: f64,
 }
 
 impl ActivityCoupledEnvironment {
@@ -147,7 +158,25 @@ impl ActivityCoupledEnvironment {
         Self {
             temperatures_c: vec![parameters.ambient.value(); oni_count],
             parameters,
+            workload: None,
+            time_ns: 0.0,
         }
+    }
+
+    /// Superimposes `schedule`'s per-ONI compute heat on the link's
+    /// dissipation, from the clock's zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule is invalid for this network's ONI count (see
+    /// [`WorkloadSchedule::validate`]).
+    #[must_use]
+    pub(crate) fn with_workload(mut self, schedule: WorkloadSchedule) -> Self {
+        schedule
+            .validate(self.oni_count())
+            .unwrap_or_else(|reason| panic!("invalid workload schedule: {reason}"));
+        self.workload = Some(schedule);
+        self
     }
 
     /// Number of nodes (ONIs) in the network.
@@ -160,6 +189,12 @@ impl ActivityCoupledEnvironment {
     #[must_use]
     pub fn parameters(&self) -> &RcNetworkParameters {
         &self.parameters
+    }
+
+    /// Current simulated time, in nanoseconds.
+    #[must_use]
+    pub fn time_ns(&self) -> f64 {
+        self.time_ns
     }
 
     /// Current node temperatures in °C, indexed by ONI.
@@ -189,8 +224,10 @@ impl ActivityCoupledEnvironment {
         )
     }
 
-    /// Advances the network by `dt_ns` nanoseconds with `deposited_power_mw`
-    /// milliwatts dissipated into each node over that interval.
+    /// Integrates the node equation over `dt_ns` nanoseconds with
+    /// `deposited_power_mw` milliwatts dissipated into each node, leaving
+    /// the clock alone: [`ThermalModel::advance`] adds the workload's heat
+    /// and moves the clock.
     ///
     /// Integration is explicit Euler with internal sub-stepping well inside
     /// the stability bound, so arbitrarily long idle gaps can be stepped in
@@ -201,7 +238,7 @@ impl ActivityCoupledEnvironment {
     ///
     /// Panics if `deposited_power_mw` does not have one entry per node, any
     /// entry is not finite, or `dt_ns` is negative or not finite.
-    pub fn step(&mut self, deposited_power_mw: &[f64], dt_ns: f64) {
+    pub(crate) fn step(&mut self, deposited_power_mw: &[f64], dt_ns: f64) {
         assert_eq!(
             deposited_power_mw.len(),
             self.temperatures_c.len(),
@@ -251,6 +288,38 @@ impl ActivityCoupledEnvironment {
             }
             self.temperatures_c.copy_from_slice(&next);
         }
+    }
+}
+
+impl ThermalModel for ActivityCoupledEnvironment {
+    fn oni_count(&self) -> usize {
+        self.oni_count()
+    }
+
+    fn temperature_of(&self, oni: usize) -> Celsius {
+        self.temperature_of(oni)
+    }
+
+    /// Steps the network with the link's power plus, per node, the
+    /// workload's exact mean power over the interval.
+    fn advance(&mut self, deposited_power_mw: &[f64], dt_ns: f64) {
+        let to_ns = self.time_ns + dt_ns;
+        if let Some(schedule) = &self.workload {
+            assert_eq!(
+                deposited_power_mw.len(),
+                self.temperatures_c.len(),
+                "one power entry per ONI is required"
+            );
+            let powers: Vec<f64> = deposited_power_mw
+                .iter()
+                .enumerate()
+                .map(|(oni, &link_mw)| link_mw + schedule.mean_power_mw(oni, self.time_ns, to_ns))
+                .collect();
+            self.step(&powers, dt_ns);
+        } else {
+            self.step(deposited_power_mw, dt_ns);
+        }
+        self.time_ns = to_ns;
     }
 }
 
@@ -357,6 +426,24 @@ mod tests {
         let mut bad = good;
         bad.coupling_resistance_k_per_mw = -1.0;
         assert!(bad.validate().unwrap_err().contains("coupling resistance"));
+    }
+
+    #[test]
+    fn advance_without_a_workload_steps_the_link_power_alone() {
+        let params = RcNetworkParameters::paper_package();
+        let mut model = ActivityCoupledEnvironment::new(3, params);
+        let mut plain = ActivityCoupledEnvironment::new(3, params);
+        for dt in [25.0, 0.0, 130.0] {
+            model.advance(&[40.0, 0.0, 90.0], dt);
+            plain.step(&[40.0, 0.0, 90.0], dt);
+        }
+        assert_eq!(
+            model,
+            ActivityCoupledEnvironment {
+                time_ns: 155.0,
+                ..plain
+            }
+        );
     }
 
     #[test]

@@ -42,12 +42,14 @@
 //!   deterministic greedy + local-search permutation of the
 //!   logical-wavelength → ring mapping, chosen against a target heat map so
 //!   the heaters fight only what drift and fabrication leave over;
-//! * [`ThermalModel`] — the unified stepping contract over all of the above:
-//!   prescribed traces ([`PrescribedEnvironment`]), the activity-coupled RC
-//!   network, and [`WorkloadHeatedEnvironment`] (per-ONI compute-cluster
-//!   heat injection superimposed on the link's own dissipation), with
-//!   [`ThermalModelSpec`] as the plain-data description a scenario
-//!   configuration carries.
+//! * [`WorkloadTrace`] / [`WorkloadSchedule`] — per-ONI compute-cluster
+//!   heat injection, one analytic trace per ONI, strung into phases (DVFS
+//!   steps, task migration, diurnal curves) that the RC network adds to the
+//!   link's own dissipation;
+//! * [`ThermalModel`] — the stepping contract the NoC simulator drives, with
+//!   two implementations: prescribed traces ([`PrescribedEnvironment`]) and
+//!   the RC network with its optional workload, and [`ThermalModelSpec`] as
+//!   the plain-data description a scenario configuration carries.
 //!
 //! The photonic consequences (how many dB of penalty a nanometre of residual
 //! drift costs) are computed by `onoc-photonics` from its Lorentzian ring
@@ -91,8 +93,7 @@ pub use bank::{BankCompensation, BankTuningMode, FabricationVariation, RingBankS
 pub use drift::{ResonanceDrift, RingThermalModel};
 pub use environment::ThermalEnvironment;
 pub use model::{
-    PrescribedEnvironment, ScheduledWorkloadEnvironment, ThermalModel, ThermalModelError,
-    ThermalModelSpec, WorkloadHeatedEnvironment, WorkloadTrace,
+    PrescribedEnvironment, ThermalModel, ThermalModelError, ThermalModelSpec, WorkloadTrace,
 };
 pub use schedule::{WorkloadPhase, WorkloadSchedule};
 pub use tuning::{ThermalCompensation, ThermalTuner, TuningPolicy};

@@ -1,24 +1,14 @@
-//! The unified thermal substrate of a simulation: the [`ThermalModel`]
-//! trait, its three implementations, and the [`ThermalModelSpec`]
+//! The thermal substrate of a simulation: the [`ThermalModel`] stepping
+//! contract, its two implementations, and the [`ThermalModelSpec`]
 //! description a scenario configuration carries.
 //!
-//! Before this module the workspace had two incompatible ways of producing a
-//! temperature per ONI: the *prescribed* [`ThermalEnvironment`] traces
-//! (sampled at arbitrary instants, blind to what the link dissipates) and
-//! the *activity-coupled* [`ActivityCoupledEnvironment`] RC network (driven
-//! by deposited power, stepped epoch by epoch).  The trait unifies them
-//! behind one stepping contract so a single simulation engine can drive
-//! either — and adds the third family neither could express:
-//!
-//! * [`PrescribedEnvironment`] — a [`ThermalEnvironment`] bound to an ONI
-//!   count and a clock; deposited power is ignored;
-//! * [`ActivityCoupledEnvironment`] — the per-ONI RC network heated solely
-//!   by the link's own dissipation;
-//! * [`WorkloadHeatedEnvironment`] — the RC network with per-ONI
-//!   *compute-cluster* heat-injection traces superimposed on the link's
-//!   dissipation: a hot accelerator under one corner of the interposer
-//!   warms the channels near it while the link's own power still closes the
-//!   feedback loop.
+//! * [`PrescribedEnvironment`] — a [`ThermalEnvironment`] trace (uniform,
+//!   hotspot or transient) bound to an ONI count and a clock; deposited
+//!   power is ignored;
+//! * [`ActivityCoupledEnvironment`] — the per-ONI RC network heated by the
+//!   link's own dissipation and, optionally, by the per-ONI compute heat of
+//!   a [`WorkloadSchedule`] (a static hot cluster, DVFS phases, task
+//!   migration, diurnal curves).
 //!
 //! The contract is deliberately minimal: a model knows how many ONIs it
 //! covers, reports the current temperature of each, and advances by a time
@@ -37,8 +27,8 @@ use crate::schedule::WorkloadSchedule;
 ///
 /// Time only moves through [`ThermalModel::advance`]; temperatures are read
 /// *between* steps.  `advance` receives the electrical power the simulator
-/// deposited into each node over the step — activity-coupled models
-/// integrate it, prescribed models ignore it.
+/// deposited into each node over the step — the RC network integrates it,
+/// prescribed traces ignore it.
 ///
 /// `Send + Sync` are supertraits so simulation engines can read
 /// temperatures from sharded per-ONI workers between steps.
@@ -61,10 +51,6 @@ pub trait ThermalModel: std::fmt::Debug + Send + Sync {
     /// Panics if `deposited_power_mw` does not carry one entry per node or
     /// `dt_ns` is negative or not finite.
     fn advance(&mut self, deposited_power_mw: &[f64], dt_ns: f64);
-
-    /// Whether deposited power influences the temperatures (`true` for the
-    /// RC-network models, `false` for prescribed traces).
-    fn is_activity_coupled(&self) -> bool;
 }
 
 /// A prescribed [`ThermalEnvironment`] bound to an ONI count and a clock:
@@ -130,28 +116,6 @@ impl ThermalModel for PrescribedEnvironment {
             "step duration must be non-negative and finite"
         );
         self.time_ns += dt_ns;
-    }
-
-    fn is_activity_coupled(&self) -> bool {
-        false
-    }
-}
-
-impl ThermalModel for ActivityCoupledEnvironment {
-    fn oni_count(&self) -> usize {
-        self.oni_count()
-    }
-
-    fn temperature_of(&self, oni: usize) -> Celsius {
-        self.temperature_of(oni)
-    }
-
-    fn advance(&mut self, deposited_power_mw: &[f64], dt_ns: f64) {
-        self.step(deposited_power_mw, dt_ns);
-    }
-
-    fn is_activity_coupled(&self) -> bool {
-        true
     }
 }
 
@@ -302,176 +266,6 @@ impl WorkloadTrace {
     }
 }
 
-/// The RC network of [`ActivityCoupledEnvironment`] with per-ONI workload
-/// heat-injection traces superimposed on the link's own dissipation: the
-/// model for spatially non-uniform *workload* heating that still closes the
-/// electro-thermal feedback loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadHeatedEnvironment {
-    network: ActivityCoupledEnvironment,
-    traces: Vec<WorkloadTrace>,
-    time_ns: f64,
-}
-
-impl WorkloadHeatedEnvironment {
-    /// Creates the network with one workload trace per ONI, every node at
-    /// the package ambient and the clock at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty, a trace is invalid (see
-    /// [`WorkloadTrace::validate`]) or the network parameters are invalid.
-    #[must_use]
-    pub fn new(parameters: RcNetworkParameters, traces: Vec<WorkloadTrace>) -> Self {
-        assert!(!traces.is_empty(), "at least one ONI is required");
-        for (oni, trace) in traces.iter().enumerate() {
-            trace
-                .validate()
-                .unwrap_or_else(|reason| panic!("invalid workload trace for ONI {oni}: {reason}"));
-        }
-        Self {
-            network: ActivityCoupledEnvironment::new(traces.len(), parameters),
-            traces,
-            time_ns: 0.0,
-        }
-    }
-
-    /// The underlying RC network.
-    #[must_use]
-    pub fn network(&self) -> &ActivityCoupledEnvironment {
-        &self.network
-    }
-
-    /// The per-ONI workload traces.
-    #[must_use]
-    pub fn traces(&self) -> &[WorkloadTrace] {
-        &self.traces
-    }
-
-    /// Current simulated time, in nanoseconds.
-    #[must_use]
-    pub fn time_ns(&self) -> f64 {
-        self.time_ns
-    }
-}
-
-impl ThermalModel for WorkloadHeatedEnvironment {
-    fn oni_count(&self) -> usize {
-        self.network.oni_count()
-    }
-
-    fn temperature_of(&self, oni: usize) -> Celsius {
-        self.network.temperature_of(oni)
-    }
-
-    fn advance(&mut self, deposited_power_mw: &[f64], dt_ns: f64) {
-        assert_eq!(
-            deposited_power_mw.len(),
-            self.traces.len(),
-            "one power entry per ONI is required"
-        );
-        let to_ns = self.time_ns + dt_ns;
-        let powers: Vec<f64> = deposited_power_mw
-            .iter()
-            .zip(&self.traces)
-            .map(|(&link_mw, trace)| link_mw + trace.mean_power_mw(self.time_ns, to_ns))
-            .collect();
-        self.network.step(&powers, dt_ns);
-        self.time_ns = to_ns;
-    }
-
-    fn is_activity_coupled(&self) -> bool {
-        true
-    }
-}
-
-/// The RC network driven by a piecewise [`WorkloadSchedule`] superimposed
-/// on the link's own dissipation: the [`WorkloadHeatedEnvironment`] of a
-/// *scheduled* workload.  DVFS phase steps, task migration between clusters
-/// and diurnal curves all play through this one model; within any single
-/// phase it integrates exactly like the plain workload-heated network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduledWorkloadEnvironment {
-    network: ActivityCoupledEnvironment,
-    schedule: WorkloadSchedule,
-    time_ns: f64,
-}
-
-impl ScheduledWorkloadEnvironment {
-    /// Creates the network over `schedule` (whose phases fix the ONI
-    /// count), every node at the package ambient and the clock at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule is invalid (see
-    /// [`WorkloadSchedule::validate`]) or the network parameters are
-    /// invalid.
-    #[must_use]
-    pub fn new(parameters: RcNetworkParameters, schedule: WorkloadSchedule) -> Self {
-        assert!(
-            !schedule.phases.is_empty(),
-            "a workload schedule needs at least one phase"
-        );
-        let oni_count = schedule.phases[0].traces.len();
-        schedule
-            .validate(oni_count)
-            .unwrap_or_else(|reason| panic!("invalid workload schedule: {reason}"));
-        Self {
-            network: ActivityCoupledEnvironment::new(oni_count, parameters),
-            schedule,
-            time_ns: 0.0,
-        }
-    }
-
-    /// The underlying RC network.
-    #[must_use]
-    pub fn network(&self) -> &ActivityCoupledEnvironment {
-        &self.network
-    }
-
-    /// The workload schedule being played.
-    #[must_use]
-    pub fn schedule(&self) -> &WorkloadSchedule {
-        &self.schedule
-    }
-
-    /// Current simulated time, in nanoseconds.
-    #[must_use]
-    pub fn time_ns(&self) -> f64 {
-        self.time_ns
-    }
-}
-
-impl ThermalModel for ScheduledWorkloadEnvironment {
-    fn oni_count(&self) -> usize {
-        self.network.oni_count()
-    }
-
-    fn temperature_of(&self, oni: usize) -> Celsius {
-        self.network.temperature_of(oni)
-    }
-
-    fn advance(&mut self, deposited_power_mw: &[f64], dt_ns: f64) {
-        assert_eq!(
-            deposited_power_mw.len(),
-            self.network.oni_count(),
-            "one power entry per ONI is required"
-        );
-        let to_ns = self.time_ns + dt_ns;
-        let powers: Vec<f64> = deposited_power_mw
-            .iter()
-            .enumerate()
-            .map(|(oni, &link_mw)| link_mw + self.schedule.mean_power_mw(oni, self.time_ns, to_ns))
-            .collect();
-        self.network.step(&powers, dt_ns);
-        self.time_ns = to_ns;
-    }
-
-    fn is_activity_coupled(&self) -> bool {
-        true
-    }
-}
-
 /// Why a [`ThermalModelSpec`] design-time query could not be answered:
 /// the typed form of [`ThermalModelSpec::validate`]'s failure, so library
 /// callers (the scenario builder's design-assignment path) can propagate it
@@ -505,25 +299,15 @@ pub enum ThermalModelSpec {
         /// The temperature field over the ONIs.
         environment: ThermalEnvironment,
     },
-    /// The per-ONI RC network heated by the link's own dissipation.
-    ActivityCoupled {
+    /// The per-ONI RC network heated by the link's own dissipation plus the
+    /// compute heat of an optional workload schedule.
+    RcNetwork {
         /// Physical parameters of the RC network.
         network: RcNetworkParameters,
-    },
-    /// The RC network with per-ONI workload heat injection superimposed.
-    WorkloadHeated {
-        /// Physical parameters of the RC network.
-        network: RcNetworkParameters,
-        /// One heat-injection trace per ONI.
-        traces: Vec<WorkloadTrace>,
-    },
-    /// The RC network driven by a piecewise workload schedule (DVFS phases,
-    /// task migration, diurnal curves) superimposed on link dissipation.
-    WorkloadScheduled {
-        /// Physical parameters of the RC network.
-        network: RcNetworkParameters,
-        /// The phased workload played over the run.
-        schedule: WorkloadSchedule,
+        /// The phased workload superimposed on the link's dissipation (a
+        /// one-phase schedule for a static heat map), or `None` for a
+        /// network heated by the link alone.
+        workload: Option<WorkloadSchedule>,
     },
 }
 
@@ -540,7 +324,21 @@ impl ThermalModelSpec {
     /// temperatures.
     #[must_use]
     pub fn is_activity_coupled(&self) -> bool {
-        !matches!(self, Self::Prescribed { .. })
+        matches!(self, Self::RcNetwork { .. })
+    }
+
+    /// Absolute start times of the described workload's phases, in
+    /// nanoseconds: the single phase at `t = 0` unless a scheduled workload
+    /// says otherwise.
+    #[must_use]
+    pub fn phase_starts(&self) -> Vec<f64> {
+        match self {
+            Self::RcNetwork {
+                workload: Some(schedule),
+                ..
+            } => schedule.phase_starts(),
+            _ => vec![0.0],
+        }
     }
 
     /// Checks the spec against the scenario's ONI count.
@@ -548,29 +346,16 @@ impl ThermalModelSpec {
     /// # Errors
     ///
     /// Returns a human-readable reason when the wrapped environment, network
-    /// or traces are invalid, or a workload spec does not carry exactly one
-    /// trace per ONI.
+    /// or workload schedule is invalid (see [`WorkloadSchedule::validate`]
+    /// for the one-trace-per-ONI rule).
     pub fn validate(&self, oni_count: usize) -> Result<(), String> {
         match self {
             Self::Prescribed { environment } => environment.validate(),
-            Self::ActivityCoupled { network } => network.validate(),
-            Self::WorkloadHeated { network, traces } => {
+            Self::RcNetwork { network, workload } => {
                 network.validate()?;
-                if traces.len() != oni_count {
-                    return Err(format!(
-                        "workload heating needs one trace per ONI: got {} traces for {} ONIs",
-                        traces.len(),
-                        oni_count
-                    ));
-                }
-                for trace in traces {
-                    trace.validate()?;
-                }
-                Ok(())
-            }
-            Self::WorkloadScheduled { network, schedule } => {
-                network.validate()?;
-                schedule.validate(oni_count)
+                workload
+                    .as_ref()
+                    .map_or(Ok(()), |schedule| schedule.validate(oni_count))
             }
         }
     }
@@ -583,19 +368,14 @@ impl ThermalModelSpec {
     ///   temperatures (sampled at `t = 0`);
     /// * a prescribed transient reports its asymptotic target everywhere —
     ///   the temperature the package settles at;
-    /// * the activity-coupled network reports its package ambient (the
+    /// * the RC network without a workload reports its package ambient (the
     ///   link's own dissipation is a runtime quantity the design step cannot
     ///   know up front);
-    /// * the workload-heated network reports the steady state its workload
-    ///   traces alone drive it to: the model is advanced 40 time constants
-    ///   with zero link power and sampled, so lateral spreading through the
-    ///   interposer is included exactly as the runtime model sees it;
-    /// * the workload-scheduled network reports, per ONI, the **worst case
-    ///   over its phases** — the hottest each node gets across every
-    ///   phase's steady-state map.  A single assignment designed against
-    ///   this map is safe in every phase, at the price per-phase
-    ///   assignments ([`ThermalModelSpec::phase_design_temperatures`])
-    ///   avoid.
+    /// * the RC network with a workload reports, per ONI, the **worst case
+    ///   over its phases** of the steady state each phase's traces alone
+    ///   drive it to (see [`ThermalModelSpec::phase_design_temperatures`]).
+    ///   A single assignment designed against this map is safe in every
+    ///   phase, at the price per-phase assignments avoid.
     ///
     /// # Errors
     ///
@@ -618,13 +398,12 @@ impl ThermalModelSpec {
     }
 
     /// The per-ONI design-point temperatures of **each phase** of the
-    /// described model: one heat map per schedule phase for
-    /// [`ThermalModelSpec::WorkloadScheduled`] (each phase's traces alone,
-    /// advanced 40 time constants in phase-relative time with zero link
-    /// power — exactly the [`ThermalModelSpec::WorkloadHeated`] design
-    /// computation applied per phase), and a single map (equal to
-    /// [`ThermalModelSpec::design_temperatures`]) for every unscheduled
-    /// family.
+    /// described model: one heat map per phase of a workload schedule (the
+    /// phase's traces alone, advanced 40 time constants in phase-relative
+    /// time with zero link power and sampled, so lateral spreading through
+    /// the interposer is included exactly as the runtime model sees it), and
+    /// a single map (equal to [`ThermalModelSpec::design_temperatures`])
+    /// for every model without one.
     ///
     /// # Errors
     ///
@@ -643,20 +422,23 @@ impl ThermalModelSpec {
                     .map(|oni| environment.temperature_at(oni, oni_count, 0.0))
                     .collect(),
             }],
-            Self::ActivityCoupled { network } => vec![vec![network.ambient; oni_count]],
-            Self::WorkloadHeated { network, traces } => {
-                vec![steady_workload_map(*network, traces.clone(), oni_count)]
-            }
-            Self::WorkloadScheduled { network, schedule } => schedule
+            Self::RcNetwork {
+                network,
+                workload: None,
+            } => vec![vec![network.ambient; oni_count]],
+            Self::RcNetwork {
+                network,
+                workload: Some(schedule),
+            } => schedule
                 .phases
                 .iter()
-                .map(|phase| steady_workload_map(*network, phase.traces.clone(), oni_count))
+                .map(|phase| steady_workload_map(*network, &phase.traces))
                 .collect(),
         })
     }
 
-    /// Builds the stateful model for `oni_count` ONIs, with prescribed
-    /// clocks at zero and RC nodes at their package ambient.
+    /// Builds the stateful model for `oni_count` ONIs, with clocks at zero
+    /// and RC nodes at their package ambient.
     ///
     /// # Panics
     ///
@@ -669,32 +451,26 @@ impl ThermalModelSpec {
             Self::Prescribed { environment } => {
                 Box::new(PrescribedEnvironment::new(*environment, oni_count))
             }
-            Self::ActivityCoupled { network } => {
-                Box::new(ActivityCoupledEnvironment::new(oni_count, *network))
+            Self::RcNetwork { network, workload } => {
+                let model = ActivityCoupledEnvironment::new(oni_count, *network);
+                Box::new(match workload {
+                    Some(schedule) => model.with_workload(schedule.clone()),
+                    None => model,
+                })
             }
-            Self::WorkloadHeated { network, traces } => {
-                Box::new(WorkloadHeatedEnvironment::new(*network, traces.clone()))
-            }
-            Self::WorkloadScheduled { network, schedule } => Box::new(
-                ScheduledWorkloadEnvironment::new(*network, schedule.clone()),
-            ),
         }
     }
 }
 
-/// The steady state the given workload traces alone drive the RC network
-/// to: advanced 40 time constants with zero link power and sampled — the
-/// shared design-map computation of the workload-heated and
-/// workload-scheduled families.
-fn steady_workload_map(
-    network: RcNetworkParameters,
-    traces: Vec<WorkloadTrace>,
-    oni_count: usize,
-) -> Vec<Celsius> {
-    let mut model = WorkloadHeatedEnvironment::new(network, traces);
+/// The steady state one workload phase's traces alone drive the RC network
+/// to: advanced 40 time constants with zero link power and sampled.
+fn steady_workload_map(network: RcNetworkParameters, traces: &[WorkloadTrace]) -> Vec<Celsius> {
+    let oni_count = traces.len();
+    let mut model = ActivityCoupledEnvironment::new(oni_count, network)
+        .with_workload(WorkloadSchedule::single(traces.to_vec()));
     model.advance(&vec![0.0; oni_count], network.time_constant_ns() * 40.0);
     (0..oni_count)
-        .map(|oni| ThermalModel::temperature_of(&model, oni))
+        .map(|oni| model.temperature_of(oni))
         .collect()
 }
 
@@ -707,6 +483,24 @@ impl Default for ThermalModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::WorkloadPhase;
+
+    /// The RC network heated by `traces` on top of the link's dissipation.
+    fn heated(
+        params: RcNetworkParameters,
+        traces: Vec<WorkloadTrace>,
+    ) -> ActivityCoupledEnvironment {
+        ActivityCoupledEnvironment::new(traces.len(), params)
+            .with_workload(WorkloadSchedule::single(traces))
+    }
+
+    /// The spec of an RC network heated by `traces`.
+    fn heated_spec(params: RcNetworkParameters, traces: Vec<WorkloadTrace>) -> ThermalModelSpec {
+        ThermalModelSpec::RcNetwork {
+            network: params,
+            workload: Some(WorkloadSchedule::single(traces)),
+        }
+    }
 
     #[test]
     fn prescribed_model_plays_its_clock_and_ignores_power() {
@@ -719,7 +513,6 @@ mod tests {
             4,
         );
         assert_eq!(ThermalModel::oni_count(&model), 4);
-        assert!(!model.is_activity_coupled());
         assert!((ThermalModel::temperature_of(&model, 0).value() - 25.0).abs() < 1e-12);
         // Huge deposited power changes nothing; only the clock moves.
         model.advance(&[1e6; 4], 1000.0);
@@ -732,7 +525,6 @@ mod tests {
     fn activity_coupled_model_integrates_power_through_the_trait() {
         let params = RcNetworkParameters::paper_package();
         let mut boxed: Box<dyn ThermalModel> = Box::new(ActivityCoupledEnvironment::new(1, params));
-        assert!(boxed.is_activity_coupled());
         boxed.advance(&[200.0], params.time_constant_ns() * 40.0);
         let expected = 25.0 + params.steady_state_excess_k(200.0);
         assert!((boxed.temperature_of(0).value() - expected).abs() < 0.05);
@@ -767,14 +559,12 @@ mod tests {
     #[test]
     fn workload_heating_warms_the_cluster_without_any_link_power() {
         let params = RcNetworkParameters::paper_package();
-        let traces = WorkloadTrace::hot_cluster(8, 2, 300.0, 0.4);
-        let mut model = WorkloadHeatedEnvironment::new(params, traces);
+        let mut model = heated(params, WorkloadTrace::hot_cluster(8, 2, 300.0, 0.4));
         assert_eq!(ThermalModel::oni_count(&model), 8);
-        assert!(model.is_activity_coupled());
         model.advance(&[0.0; 8], params.time_constant_ns() * 40.0);
-        let centre = ThermalModel::temperature_of(&model, 2).value();
-        let near = ThermalModel::temperature_of(&model, 3).value();
-        let far = ThermalModel::temperature_of(&model, 6).value();
+        let centre = model.temperature_of(2).value();
+        let near = model.temperature_of(3).value();
+        let far = model.temperature_of(6).value();
         assert!(centre > near && near > far, "{centre} / {near} / {far}");
         assert!(far > 25.0, "spreading reaches the far side");
         assert!((model.time_ns() - params.time_constant_ns() * 40.0).abs() < 1e-9);
@@ -783,29 +573,24 @@ mod tests {
     #[test]
     fn workload_heat_superimposes_on_link_dissipation() {
         let params = RcNetworkParameters::paper_package();
-        let with_workload = {
-            let mut m =
-                WorkloadHeatedEnvironment::new(params, vec![WorkloadTrace::constant(100.0)]);
-            m.advance(&[100.0], params.time_constant_ns() * 40.0);
-            ThermalModel::temperature_of(&m, 0).value()
-        };
+        let mut model = heated(params, vec![WorkloadTrace::constant(100.0)]);
+        model.advance(&[100.0], params.time_constant_ns() * 40.0);
         // 100 mW of link + 100 mW of workload = the 200 mW steady state.
         let expected = 25.0 + params.steady_state_excess_k(200.0);
-        assert!((with_workload - expected).abs() < 0.05);
+        assert!((model.temperature_of(0).value() - expected).abs() < 0.05);
     }
 
     #[test]
     fn burst_windows_heat_and_release() {
         let params = RcNetworkParameters::paper_package();
         let horizon = params.time_constant_ns() * 40.0;
-        let mut model =
-            WorkloadHeatedEnvironment::new(params, vec![WorkloadTrace::burst(250.0, 0.0, horizon)]);
+        let mut model = heated(params, vec![WorkloadTrace::burst(250.0, 0.0, horizon)]);
         model.advance(&[0.0], horizon);
-        let hot = ThermalModel::temperature_of(&model, 0).value();
+        let hot = model.temperature_of(0).value();
         assert!(hot > 45.0, "burst must heat the node, got {hot}");
         // After the burst the node relaxes back to the ambient.
         model.advance(&[0.0], horizon);
-        let cooled = ThermalModel::temperature_of(&model, 0).value();
+        let cooled = model.temperature_of(0).value();
         assert!((cooled - 25.0).abs() < 0.1, "got {cooled}");
     }
 
@@ -831,35 +616,41 @@ mod tests {
     }
 
     #[test]
-    fn spec_validation_and_instantiation_cover_all_families() {
+    fn spec_validation_and_instantiation_cover_both_families() {
         let prescribed = ThermalModelSpec::paper_ambient();
         assert!(prescribed.validate(4).is_ok());
         assert!(!prescribed.is_activity_coupled());
+        assert_eq!(prescribed.phase_starts(), vec![0.0]);
         assert_eq!(prescribed.instantiate(4).oni_count(), 4);
 
-        let coupled = ThermalModelSpec::ActivityCoupled {
+        let coupled = ThermalModelSpec::RcNetwork {
             network: RcNetworkParameters::paper_package(),
+            workload: None,
         };
         assert!(coupled.validate(4).is_ok());
         assert!(coupled.is_activity_coupled());
-        assert!(coupled.instantiate(4).is_activity_coupled());
+        assert_eq!(coupled.phase_starts(), vec![0.0]);
+        assert_eq!(coupled.instantiate(4).oni_count(), 4);
 
-        let workload = ThermalModelSpec::WorkloadHeated {
-            network: RcNetworkParameters::paper_package(),
-            traces: WorkloadTrace::hot_cluster(4, 0, 100.0, 0.5),
-        };
+        let workload = heated_spec(
+            RcNetworkParameters::paper_package(),
+            WorkloadTrace::hot_cluster(4, 0, 100.0, 0.5),
+        );
         assert!(workload.validate(4).is_ok());
         assert!(workload
             .validate(5)
             .unwrap_err()
             .contains("one trace per ONI"));
-        assert!(workload.instantiate(4).is_activity_coupled());
+        assert!(workload.is_activity_coupled());
+        assert_eq!(workload.phase_starts(), vec![0.0]);
+        assert_eq!(workload.instantiate(4).oni_count(), 4);
 
-        let bad_network = ThermalModelSpec::ActivityCoupled {
+        let bad_network = ThermalModelSpec::RcNetwork {
             network: RcNetworkParameters {
                 heat_capacity_pj_per_k: 0.0,
                 ..RcNetworkParameters::paper_package()
             },
+            workload: None,
         };
         assert!(bad_network
             .validate(4)
@@ -900,31 +691,29 @@ mod tests {
         let temps = hotspot.design_temperatures(6).expect("valid spec");
         assert!((temps[1].value() - 80.0).abs() < 1e-12);
         assert!(temps[1] > temps[2] && temps[2] > temps[4]);
-        // Activity-coupled: the package ambient (no workload knowledge).
-        let coupled = ThermalModelSpec::ActivityCoupled {
+        // RC network without a workload: the package ambient.
+        let coupled = ThermalModelSpec::RcNetwork {
             network: RcNetworkParameters::paper_package(),
+            workload: None,
         };
         assert!(coupled
             .design_temperatures(4)
             .expect("valid spec")
             .iter()
             .all(|t| (t.value() - 25.0).abs() < 1e-12));
-        // Workload-heated: matches an explicit 40 τ advance of the model.
+        // RC network with a workload: matches an explicit 40 τ advance of
+        // the model.
         let params = RcNetworkParameters::paper_package();
         let traces = WorkloadTrace::hot_cluster(8, 2, 300.0, 0.4);
-        let spec = ThermalModelSpec::WorkloadHeated {
-            network: params,
-            traces: traces.clone(),
-        };
-        let designed = spec.design_temperatures(8).expect("valid spec");
-        let mut reference = WorkloadHeatedEnvironment::new(params, traces);
+        let designed = heated_spec(params, traces.clone())
+            .design_temperatures(8)
+            .expect("valid spec");
+        let mut reference = heated(params, traces);
         reference.advance(&[0.0; 8], params.time_constant_ns() * 40.0);
         for (oni, t) in designed.iter().enumerate() {
             assert_eq!(
                 t.value().to_bits(),
-                ThermalModel::temperature_of(&reference, oni)
-                    .value()
-                    .to_bits(),
+                reference.temperature_of(oni).value().to_bits(),
                 "ONI {oni}"
             );
         }
@@ -932,9 +721,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid workload trace")]
+    #[should_panic(expected = "invalid workload schedule")]
     fn invalid_trace_panics_at_construction() {
-        let _ = WorkloadHeatedEnvironment::new(
+        let _ = heated(
             RcNetworkParameters::paper_package(),
             vec![WorkloadTrace::constant(f64::INFINITY)],
         );
@@ -961,10 +750,10 @@ mod tests {
 
     #[test]
     fn invalid_specs_surface_a_typed_error_instead_of_panicking() {
-        let workload = ThermalModelSpec::WorkloadHeated {
-            network: RcNetworkParameters::paper_package(),
-            traces: WorkloadTrace::hot_cluster(4, 0, 100.0, 0.5),
-        };
+        let workload = heated_spec(
+            RcNetworkParameters::paper_package(),
+            WorkloadTrace::hot_cluster(4, 0, 100.0, 0.5),
+        );
         let error = workload.design_temperatures(5).unwrap_err();
         assert!(matches!(
             &error,
@@ -976,54 +765,55 @@ mod tests {
 
     #[test]
     fn scheduled_spec_validates_instantiates_and_steps() {
-        use crate::schedule::{WorkloadPhase, WorkloadSchedule};
         let params = RcNetworkParameters::paper_package();
-        let schedule =
-            WorkloadSchedule::migration(6, params.time_constant_ns() * 40.0, &[1, 4], 300.0, 0.4);
-        let spec = ThermalModelSpec::WorkloadScheduled {
+        let settle_ns = params.time_constant_ns() * 40.0;
+        let spec = ThermalModelSpec::RcNetwork {
             network: params,
-            schedule: schedule.clone(),
+            workload: Some(WorkloadSchedule::migration(
+                6,
+                settle_ns,
+                &[1, 4],
+                300.0,
+                0.4,
+            )),
         };
         assert!(spec.validate(6).is_ok());
         assert!(spec.is_activity_coupled());
+        assert_eq!(spec.phase_starts(), vec![0.0, settle_ns]);
         assert!(spec.validate(3).unwrap_err().contains("one trace per ONI"));
 
         let mut model = spec.instantiate(6);
         assert_eq!(model.oni_count(), 6);
         // Settle phase 0: the cluster sits on ONI 1.
-        model.advance(&[0.0; 6], params.time_constant_ns() * 40.0);
+        model.advance(&[0.0; 6], settle_ns);
         assert!(model.temperature_of(1) > model.temperature_of(4));
         // Settle phase 1: the cluster has migrated to ONI 4.
-        model.advance(&[0.0; 6], params.time_constant_ns() * 40.0);
+        model.advance(&[0.0; 6], settle_ns);
         assert!(model.temperature_of(4) > model.temperature_of(1));
 
-        let zero_length = ThermalModelSpec::WorkloadScheduled {
+        let zero_length = ThermalModelSpec::RcNetwork {
             network: params,
-            schedule: WorkloadSchedule::new(vec![WorkloadPhase::new(
+            workload: Some(WorkloadSchedule::new(vec![WorkloadPhase::new(
                 0.0,
                 vec![WorkloadTrace::idle(); 6],
-            )]),
+            )])),
         };
         assert!(zero_length.validate(6).unwrap_err().contains("zero-length"));
     }
 
     #[test]
     fn scheduled_design_maps_cover_each_phase_and_fold_to_the_worst_case() {
-        use crate::schedule::WorkloadSchedule;
         let params = RcNetworkParameters::paper_package();
-        let spec = ThermalModelSpec::WorkloadScheduled {
+        let spec = ThermalModelSpec::RcNetwork {
             network: params,
-            schedule: WorkloadSchedule::migration(6, 1000.0, &[1, 4], 300.0, 0.4),
+            workload: Some(WorkloadSchedule::migration(6, 1000.0, &[1, 4], 300.0, 0.4)),
         };
         let maps = spec.phase_design_temperatures(6).expect("valid spec");
         assert_eq!(maps.len(), 2);
-        // Each phase map matches the equivalent workload-heated design map.
+        // Each phase map matches the design map of its cluster played alone.
         for (map, center) in maps.iter().zip([1usize, 4]) {
-            let heated = ThermalModelSpec::WorkloadHeated {
-                network: params,
-                traces: WorkloadTrace::hot_cluster(6, center, 300.0, 0.4),
-            };
-            let reference = heated.design_temperatures(6).expect("valid spec");
+            let alone = heated_spec(params, WorkloadTrace::hot_cluster(6, center, 300.0, 0.4));
+            let reference = alone.design_temperatures(6).expect("valid spec");
             for (oni, t) in map.iter().enumerate() {
                 assert_eq!(t.value().to_bits(), reference[oni].value().to_bits());
             }
@@ -1044,24 +834,28 @@ mod tests {
 
     #[test]
     fn single_phase_schedule_steps_bit_identically_to_the_plain_traces() {
+        // The reference steps the bare network by hand with the link's power
+        // plus each trace's own exact mean over the step.
         let params = RcNetworkParameters::paper_package();
         let traces = WorkloadTrace::hot_cluster(4, 1, 150.0, 0.5);
-        let mut scheduled = ScheduledWorkloadEnvironment::new(
-            params,
-            crate::schedule::WorkloadSchedule::single(traces.clone()),
-        );
-        let mut plain = WorkloadHeatedEnvironment::new(params, traces);
+        let mut scheduled = heated(params, traces.clone());
+        let mut plain = ActivityCoupledEnvironment::new(4, params);
+        let mut time_ns = 0.0;
         for step in 0..50 {
-            let power = [3.0 + step as f64, 0.5, 7.0, 0.0];
-            scheduled.advance(&power, 40.0);
-            plain.advance(&power, 40.0);
+            let link = [3.0 + f64::from(step), 0.5, 7.0, 0.0];
+            scheduled.advance(&link, 40.0);
+            let powers: Vec<f64> = link
+                .iter()
+                .zip(&traces)
+                .map(|(&link_mw, trace)| link_mw + trace.mean_power_mw(time_ns, time_ns + 40.0))
+                .collect();
+            plain.step(&powers, 40.0);
+            time_ns += 40.0;
         }
         for oni in 0..4 {
             assert_eq!(
-                ThermalModel::temperature_of(&scheduled, oni)
-                    .value()
-                    .to_bits(),
-                ThermalModel::temperature_of(&plain, oni).value().to_bits(),
+                scheduled.temperature_of(oni).value().to_bits(),
+                plain.temperature_of(oni).value().to_bits(),
                 "ONI {oni}"
             );
         }

@@ -91,11 +91,15 @@ impl RouteTable {
             .unwrap_or(0)
     }
 
-    /// Whether every route is a single hop — the shape of the paper's
-    /// canonical single-ring fabric, which the scenario engines fast-path.
+    /// Whether every route is a single MWSR hop — the shape of the paper's
+    /// canonical single-ring fabric, which the scenario engines fast-path
+    /// on the destination's photonic channel.  A one-hop electrical route
+    /// does not qualify: it needs the relay's electrical pricing.
     #[must_use]
     pub fn is_single_hop(&self) -> bool {
-        self.max_hops() <= 1
+        self.routes
+            .values()
+            .all(|route| matches!(route.hops.as_slice(), [hop] if hop.kind == LinkKind::Mwsr))
     }
 
     /// Whether any route traverses an SWMR link (not yet supported by the
@@ -236,6 +240,25 @@ mod tests {
                 "the one hop rides the destination's reader channel"
             );
         }
+    }
+
+    #[test]
+    fn a_one_hop_electrical_route_is_not_single_hop() {
+        // Node 2 reads only node 0, so 1 -> 2 takes the wire in one hop.
+        let fabric = Topology::new(
+            3,
+            vec![
+                LinkSpec::mwsr(0, [1, 2], 0),
+                LinkSpec::mwsr(1, [0, 2], 1),
+                LinkSpec::mwsr(2, [0], 2),
+                LinkSpec::electrical(1, 2),
+            ],
+        )
+        .expect("a strongly connected 3-node fabric");
+        let table = Router::resolve(&fabric);
+        assert_eq!(table.max_hops(), 1);
+        assert_eq!(table.route(1, 2).electrical_hops(), 1);
+        assert!(!table.is_single_hop());
     }
 
     #[test]

@@ -21,7 +21,8 @@ use onoc_ecc::link::{NanophotonicLink, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
 use onoc_ecc::sim::{DecisionPolicy, DesignAssignmentConfig, ScenarioBuilder};
 use onoc_ecc::thermal::{
-    AssignmentStrategy, BankTuningMode, RcNetworkParameters, ThermalModelSpec, WorkloadTrace,
+    AssignmentStrategy, BankTuningMode, RcNetworkParameters, ThermalModelSpec, WorkloadSchedule,
+    WorkloadTrace,
 };
 use onoc_ecc::units::Celsius;
 
@@ -46,9 +47,11 @@ fn builder() -> ScenarioBuilder {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The design-time heat map the assigner plans for: the steady state the
     // workload traces alone drive the RC network to.
-    let spec = ThermalModelSpec::WorkloadHeated {
+    let spec = ThermalModelSpec::RcNetwork {
         network: RcNetworkParameters::paper_package(),
-        traces: WorkloadTrace::hot_cluster(ONIS, 2, 300.0, 0.4),
+        workload: Some(WorkloadSchedule::single(WorkloadTrace::hot_cluster(
+            ONIS, 2, 300.0, 0.4,
+        ))),
     };
     let design = spec.design_temperatures(ONIS)?;
     println!("Workload heat map (300 mW cluster at ONI 2), design temperatures:");

@@ -3,10 +3,9 @@
 //!
 //! Pins the contract of the schedule machinery:
 //!
-//! * a single-phase schedule is **bit-identical** to the plain
-//!   `WorkloadTrace` engine — with and without design assignment, at any
-//!   thread count (the schedule generalizes the trace path, it must not
-//!   perturb it);
+//! * a single-phase schedule is **bit-identical** to the builder's plain
+//!   `workload_heated` traces — with and without design assignment (one
+//!   phase's per-phase fleet is the worst-case fleet), at any thread count;
 //! * phase boundaries land exactly on epoch edges (the engine clamps the
 //!   preceding epoch), so assignment swaps are hitless by construction;
 //! * zero-length phases are rejected at `build()` as configuration errors;

@@ -134,6 +134,18 @@ fn rejected_configurations() -> Vec<Row> {
         ],
     )
     .expect("a strongly connected 3-node ring with one SWMR shortcut");
+    // Every route is one hop, but node 2 reads only node 0, so 1 -> 2 rides
+    // the electrical wire.
+    let one_wire = Topology::new(
+        3,
+        vec![
+            LinkSpec::mwsr(0, [1, 2], 0),
+            LinkSpec::mwsr(1, [0, 2], 1),
+            LinkSpec::mwsr(2, [0], 2),
+            LinkSpec::electrical(1, 2),
+        ],
+    )
+    .expect("a strongly connected 3-node fabric");
     // multi_ring(5, 2) is single-hop, but its waveguide groups hold 3 and 2
     // readers, so nonzero crosstalk gives the two groups different stacks.
     let crosstalk = FabricSpec::new(Topology::multi_ring(5, 2)).with_crosstalk(0.08);
@@ -270,7 +282,12 @@ fn rejected_configurations() -> Vec<Row> {
             per_message()
                 .oni_count(8)
                 .topology(Topology::hybrid_mesh(8, 4)),
-            "multi-hop topologies require the epoch-gated policy",
+            "multi-hop topologies and electrical hops require the epoch-gated policy",
+        ),
+        invalid(
+            "one-hop electrical route under the per-message policy",
+            per_message().oni_count(3).topology(one_wire),
+            "multi-hop topologies and electrical hops require the epoch-gated policy",
         ),
         invalid(
             "SWMR shortcut under the epoch-gated policy",

@@ -1,10 +1,8 @@
-//! Generic conformance suite for every [`ThermalModel`] implementation.
+//! Generic conformance suite for both [`ThermalModel`] families.
 //!
 //! The unified simulation surface drives `dyn ThermalModel` without knowing
-//! which physics sits behind it, so all four families — the prescribed
-//! trace adapter, the activity-coupled RC network, the workload-heated
-//! network and the phase-scheduled (workload-scheduled) network — must
-//! honour the same contract:
+//! which physics sits behind it, so both families — the prescribed trace
+//! adapter and the RC network — must honour the same contract:
 //!
 //! * `oni_count` is stable for the lifetime of the model;
 //! * `advance` only ever moves time forward: zero-duration steps are
@@ -14,6 +12,9 @@
 //! * instantiating the same spec twice and replaying the same schedule is
 //!   bit-identical — the property the simulator's reproducibility
 //!   guarantees are built on.
+//!
+//! The cases are a prescribed transient and the RC network with no
+//! workload, with a one-phase hot cluster and with a migrating cluster.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -38,27 +39,32 @@ fn specs() -> Vec<(&'static str, ThermalModelSpec)> {
                 },
             },
         ),
+        ("RC network (no workload)", rc_network(None)),
         (
-            "activity-coupled",
-            ThermalModelSpec::ActivityCoupled {
-                network: RcNetworkParameters::paper_package(),
-            },
+            "RC network (one-phase hot cluster)",
+            rc_network(Some(WorkloadSchedule::single(WorkloadTrace::hot_cluster(
+                ONI_COUNT, 2, 250.0, 0.5,
+            )))),
         ),
         (
-            "workload-heated",
-            ThermalModelSpec::WorkloadHeated {
-                network: RcNetworkParameters::paper_package(),
-                traces: WorkloadTrace::hot_cluster(ONI_COUNT, 2, 250.0, 0.5),
-            },
-        ),
-        (
-            "workload-scheduled",
-            ThermalModelSpec::WorkloadScheduled {
-                network: RcNetworkParameters::paper_package(),
-                schedule: WorkloadSchedule::migration(ONI_COUNT, 800.0, &[1, 4], 250.0, 0.5),
-            },
+            "RC network (migration)",
+            rc_network(Some(WorkloadSchedule::migration(
+                ONI_COUNT,
+                800.0,
+                &[1, 4],
+                250.0,
+                0.5,
+            ))),
         ),
     ]
+}
+
+/// The paper package's RC network heated by `workload` on top of the link.
+fn rc_network(workload: Option<WorkloadSchedule>) -> ThermalModelSpec {
+    ThermalModelSpec::RcNetwork {
+        network: RcNetworkParameters::paper_package(),
+        workload,
+    }
 }
 
 /// A deterministic, deliberately non-uniform advance schedule:
@@ -187,40 +193,36 @@ fn non_finite_temperatures_are_rejected_at_the_spec() {
             },
         ),
         (
-            "activity-coupled (NaN ambient)",
-            ThermalModelSpec::ActivityCoupled {
+            "RC network (NaN ambient)",
+            ThermalModelSpec::RcNetwork {
                 network: RcNetworkParameters {
                     ambient: nan_c,
                     ..RcNetworkParameters::paper_package()
                 },
+                workload: None,
             },
         ),
         (
-            "workload-heated (infinite ambient)",
-            ThermalModelSpec::WorkloadHeated {
+            "RC network with a workload (infinite ambient)",
+            ThermalModelSpec::RcNetwork {
                 network: RcNetworkParameters {
                     ambient: inf_c * -1.0,
                     ..RcNetworkParameters::paper_package()
                 },
-                traces: vec![WorkloadTrace::idle(); ONI_COUNT],
-            },
-        ),
-        (
-            "workload-heated (infinite trace)",
-            ThermalModelSpec::WorkloadHeated {
-                network: RcNetworkParameters::paper_package(),
-                traces: vec![WorkloadTrace::constant(f64::INFINITY); ONI_COUNT],
-            },
-        ),
-        (
-            "workload-scheduled (infinite phase trace)",
-            ThermalModelSpec::WorkloadScheduled {
-                network: RcNetworkParameters::paper_package(),
-                schedule: WorkloadSchedule::single(vec![
-                    WorkloadTrace::constant(f64::INFINITY);
+                workload: Some(WorkloadSchedule::single(vec![
+                    WorkloadTrace::idle();
                     ONI_COUNT
-                ]),
+                ])),
             },
+        ),
+        (
+            "RC network (infinite phase trace)",
+            rc_network(Some(WorkloadSchedule::single(vec![
+                WorkloadTrace::constant(
+                    f64::INFINITY
+                );
+                ONI_COUNT
+            ]))),
         ),
     ];
     for (name, spec) in bad_specs {
@@ -252,13 +254,7 @@ fn replay_from_the_same_spec_is_bit_identical() {
 #[test]
 fn activity_coupling_flag_matches_the_family() {
     for (name, spec) in specs() {
-        let model = spec.instantiate(ONI_COUNT);
-        assert_eq!(
-            model.is_activity_coupled(),
-            spec.is_activity_coupled(),
-            "{name}: the model and its spec must agree"
-        );
         let activity_coupled = !name.starts_with("prescribed");
-        assert_eq!(model.is_activity_coupled(), activity_coupled, "{name}");
+        assert_eq!(spec.is_activity_coupled(), activity_coupled, "{name}");
     }
 }

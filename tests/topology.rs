@@ -6,12 +6,14 @@
 //!   and still delivers all traffic;
 //! * topology runs speak the `route_resolved` / `hop_traversed` telemetry
 //!   vocabulary, and each message's hop trace follows its route: hop
-//!   indices 0..k, the route's nodes and its electrical flags in order (one
-//!   event at the destination on the single ring);
+//!   indices 0..k, the route's nodes and its electrical flags in order, on
+//!   the hybrid mesh and on a fabric whose one electrical route is a single
+//!   hop (one event at the destination on the single ring);
 //! * a crosstalk-heterogeneous fabric is rejected under the per-message
 //!   policy and plays under the epoch-gated one.  The other structural
-//!   rejections (node-count mismatch, multi-hop under the per-message
-//!   policy) are rows of the rejection table in `tests/scenario_builder.rs`.
+//!   rejections (node-count mismatch, multi-hop or electrical hops under
+//!   the per-message policy) are rows of the rejection table in
+//!   `tests/scenario_builder.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,7 +23,7 @@ use onoc_ecc::sim::traffic::{TrafficGenerator, TrafficPattern};
 use onoc_ecc::sim::{DecisionPolicy, Message, RunReport, ScenarioBuilder, SimulationError};
 use onoc_ecc::telemetry::{MemoryRecorder, RecorderHandle, TelemetryEvent};
 use onoc_ecc::thermal::RcNetworkParameters;
-use onoc_ecc::topology::{FabricSpec, LinkKind, Router, Topology};
+use onoc_ecc::topology::{FabricSpec, LinkKind, LinkSpec, Router, Topology};
 
 fn base_builder(oni_count: usize, epoch_gated: bool) -> ScenarioBuilder {
     let builder = ScenarioBuilder::new()
@@ -177,34 +179,51 @@ fn traffic(builder: &ScenarioBuilder) -> BTreeMap<u64, Message> {
     .collect()
 }
 
+/// A 3-node fabric whose every route is one hop, but node 2 reads only
+/// node 0, so the route 1 -> 2 is the electrical wire.
+fn one_electrical_hop() -> Topology {
+    Topology::new(
+        3,
+        vec![
+            LinkSpec::mwsr(0, [1, 2], 0),
+            LinkSpec::mwsr(1, [0, 2], 1),
+            LinkSpec::mwsr(2, [0], 2),
+            LinkSpec::electrical(1, 2),
+        ],
+    )
+    .expect("a strongly connected 3-node fabric")
+}
+
 #[test]
 fn relayed_hop_trace_follows_each_route() {
-    let fabric = Topology::hybrid_mesh(8, 4);
-    let routes = Router::resolve(&fabric);
-    let builder = base_builder(8, true).topology(fabric);
-    let messages = traffic(&builder);
-    let memory = Arc::new(MemoryRecorder::new());
-    let report = builder
-        .telemetry(RecorderHandle::new(memory.clone()))
-        .build()
-        .expect("hybrid-mesh scenario builds")
-        .run();
-    assert_eq!(report.stats.injected_messages, messages.len() as u64);
-    let trails = hop_trails(&memory.events());
-    assert_eq!(trails.len(), messages.len(), "every message leaves a trail");
-    for (id, trail) in &trails {
-        let message = messages[id];
-        let route = routes.route(message.source, message.destination);
-        let expected: Vec<(u64, u64, bool)> = route
-            .hops
-            .iter()
-            .enumerate()
-            .map(|(index, hop)| {
-                let electrical = hop.kind == LinkKind::Electrical;
-                (index as u64, hop.node as u64, electrical)
-            })
-            .collect();
-        assert_eq!(trail, &expected, "message {id}");
+    for fabric in [Topology::hybrid_mesh(8, 4), one_electrical_hop()] {
+        let nodes = fabric.node_count();
+        let routes = Router::resolve(&fabric);
+        let builder = base_builder(nodes, true).topology(fabric);
+        let messages = traffic(&builder);
+        let memory = Arc::new(MemoryRecorder::new());
+        let report = builder
+            .telemetry(RecorderHandle::new(memory.clone()))
+            .build()
+            .expect("relayed scenario builds")
+            .run();
+        assert_eq!(report.stats.injected_messages, messages.len() as u64);
+        let trails = hop_trails(&memory.events());
+        assert_eq!(trails.len(), messages.len(), "every message leaves a trail");
+        for (id, trail) in &trails {
+            let message = messages[id];
+            let route = routes.route(message.source, message.destination);
+            let expected: Vec<(u64, u64, bool)> = route
+                .hops
+                .iter()
+                .enumerate()
+                .map(|(index, hop)| {
+                    let electrical = hop.kind == LinkKind::Electrical;
+                    (index as u64, hop.node as u64, electrical)
+                })
+                .collect();
+            assert_eq!(trail, &expected, "{nodes} nodes, message {id}");
+        }
     }
 }
 

@@ -101,7 +101,8 @@ fn evaluate(sigma_nm: f64, temperature: Celsius) -> Cell {
         if strategy == Some(AssignmentStrategy::Greedy) {
             continue;
         }
-        let manager = LinkManager::new(link, EccScheme::paper_schemes().to_vec(), 1e-11);
+        let manager = LinkManager::new(link, EccScheme::paper_schemes().to_vec(), 1e-11)
+            .unwrap_or_else(|e| panic!("paper manager configuration: {e}"));
         let scheme = manager
             .configure_at(onoc_link::TrafficClass::LatencyFirst, temperature)
             .map(|d| d.point.scheme());

@@ -16,9 +16,9 @@
 //! bit-identical, lose no traffic, and relay inter-cluster flows over
 //! multiple hops.
 //!
-//! Writes `BENCH_topology.json` (deterministic sections separated from
-//! wall-clock noise) and exits non-zero on any gate violation, so CI can
-//! run it directly.
+//! Writes `BENCH_topology.json` (every value in it is deterministic, so two
+//! runs' files are byte-identical) and exits non-zero on any gate
+//! violation, so CI can run it directly.
 //!
 //! Run with `cargo run -p onoc-bench --bin fig_topology`.
 
@@ -90,7 +90,8 @@ fn switch_point(
         card.model.clone(),
         EccScheme::paper_schemes().to_vec(),
         TARGET_BER,
-    );
+    )
+    .unwrap_or_else(|e| panic!("paper manager configuration: {e}"));
     // One decision per grid ambient, sharded over the grid; the ordered
     // merge keeps the scan below deterministic.
     let grid_vec = grid.to_vec();
@@ -144,7 +145,7 @@ fn summarize(fabric: &Fabric, grid: &[Celsius]) -> FabricSummary {
     let routes = Router::resolve(topology);
     let switch = switch_point(&elaborated, topology, grid);
     let tuning = fleet_tuning_power_mw(&elaborated, topology, Celsius::new(HOT_AMBIENT_C));
-    let counters = elaborated.cards()[0].model.cache_counters();
+    let counters = elaborated.shared_cache().counters();
     FabricSummary {
         name: fabric.name,
         photonic_links: topology.photonic_link_count(),
@@ -270,23 +271,20 @@ fn main() {
 
     println!("\nrouted hybrid-mesh scenario at thread counts {SCENARIO_THREAD_COUNTS:?}...\n");
     let builder = routed_builder();
-    let runs: Vec<(usize, RunReport, u64)> = SCENARIO_THREAD_COUNTS
+    let runs: Vec<(usize, RunReport)> = SCENARIO_THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            // onoc-lint: allow(D002, bench wall clock lands in the quarantined non-deterministic section of BENCH_topology.json)
-            let started = std::time::Instant::now();
             let report = builder
                 .clone()
                 .threads(threads)
                 .build()
                 .unwrap_or_else(|e| panic!("routed scenario must build: {e}"))
                 .run();
-            let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            (threads, report, micros)
+            (threads, report)
         })
         .collect();
-    let (_, reference, _) = &runs[0];
-    for (threads, report, _) in &runs[1..] {
+    let (_, reference) = &runs[0];
+    for (threads, report) in &runs[1..] {
         if normalized(report) != normalized(reference) {
             violations.push(format!(
                 "routed scenario differs between {} and {threads} threads",
@@ -333,10 +331,6 @@ fn main() {
             ])
         })
         .collect();
-    let wall_runs: Vec<(String, Json)> = runs
-        .iter()
-        .map(|(threads, _, micros)| (format!("threads_{threads}"), Json::Num(*micros as f64)))
-        .collect();
     let document = Json::obj(vec![
         ("schema_version", 1u64.into()),
         ("nodes", NODES.into()),
@@ -349,10 +343,6 @@ fn main() {
                 ("fabrics", Json::Arr(fabric_sections)),
                 ("routed_scenario", report_digest(reference)),
             ]),
-        ),
-        (
-            "non_deterministic",
-            Json::obj(vec![("scenario_run_micros", Json::Obj(wall_runs))]),
         ),
     ]);
     let path = default_output_path();

@@ -47,10 +47,11 @@ fn chip_pair(sigma_nm: f64) -> (LinkManager, LinkManager) {
     let barrel = NanophotonicLink::paper_link()
         .with_fabrication_variation(variation)
         .with_bank_tuning_mode(BankTuningMode::full_barrel_shift(16));
-    (
-        LinkManager::new(pure, EccScheme::paper_schemes().to_vec(), 1e-11),
-        LinkManager::new(barrel, EccScheme::paper_schemes().to_vec(), 1e-11),
-    )
+    let manager = |link| {
+        LinkManager::new(link, EccScheme::paper_schemes().to_vec(), 1e-11)
+            .unwrap_or_else(|e| panic!("paper manager configuration: {e}"))
+    };
+    (manager(pure), manager(barrel))
 }
 
 fn evaluate(managers: &(LinkManager, LinkManager), sigma_nm: f64, temperature: Celsius) -> Cell {

@@ -6,8 +6,8 @@
 //! assembles the `BENCH_scaling.json` artifact the ROADMAP asks for: one
 //! entry per scenario with a **deterministic** section (event counters,
 //! histograms and report facts that must be bit-identical across repeated
-//! runs and thread counts) and a **non-deterministic** section (wall-clock
-//! timings, machine-speed dependent by nature).
+//! runs and thread counts) and a **non-deterministic** section (per-shard
+//! wall-clock timings, machine-speed dependent by nature).
 //!
 //! Determinism is self-gated: every scenario runs once per thread count in
 //! [`DETERMINISM_THREAD_COUNTS`] and the harness fails loudly if either the
@@ -137,8 +137,6 @@ pub struct CaseRun {
     pub metrics: MetricsSnapshot,
     /// Non-deterministic per-shard wall-clock aggregates, rendered.
     pub wall_clock: Json,
-    /// End-to-end wall clock of build + run, in microseconds.
-    pub run_micros: u64,
 }
 
 /// Runs one case at the given thread budget with a fresh registry recorder.
@@ -155,20 +153,16 @@ pub fn run_case(case: &TrajectoryCase, threads: usize) -> CaseRun {
         metrics.clone(),
         wall.clone(),
     )));
-    // onoc-lint: allow(D002, bench wall clock lands in the quarantined non-deterministic section of BENCH_scaling.json)
-    let started = std::time::Instant::now();
     let report = ScenarioBuilder::from_config(case.config.clone())
         .threads(threads)
         .telemetry(recorder)
         .build()
         .unwrap_or_else(|e| panic!("case {} must build: {e}", case.label))
         .run();
-    let run_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     CaseRun {
         report,
         metrics: metrics.snapshot(),
         wall_clock: wall.to_json(),
-        run_micros,
     }
 }
 
@@ -234,10 +228,7 @@ pub fn build_document(cases: &[TrajectoryCase]) -> Result<Json, Vec<String>> {
             .map(|(threads, run)| {
                 (
                     format!("threads_{threads}"),
-                    Json::obj(vec![
-                        ("run_micros", run.run_micros.into()),
-                        ("shards", run.wall_clock.clone()),
-                    ]),
+                    Json::obj(vec![("shards", run.wall_clock.clone())]),
                 )
             })
             .collect();
@@ -313,18 +304,14 @@ pub const SCALE_OUT_THREAD_COUNTS: [usize; 2] = [1, 4];
 /// the host actually has that many cores.
 pub const SCALE_OUT_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// Fleet size of the reduced cross-engine and snapshot demonstrations.
-/// Per-link caches re-solve every bucket once per ONI, so the A/B
-/// comparison runs at a size where that waste is affordable — the waste
-/// itself is the headline number ([`build_scale_out_section`] reports the
-/// solve ratio).
+/// Fleet size of the reduced snapshot demonstration.
 pub const SCALE_OUT_REDUCED_ONI_COUNT: usize = 64;
 
-/// Messages per node of the reduced demonstrations.
+/// Messages per node of the reduced snapshot demonstration.
 pub const SCALE_OUT_REDUCED_MESSAGES_PER_NODE: u64 = 40;
 
-/// Decision-bucket width of the reduced demonstrations, in kelvin.  Coarse
-/// so the persisted snapshot artifact stays a few hundred entries.
+/// Decision-bucket width of the reduced snapshot demonstration, in kelvin.
+/// Coarse so the persisted snapshot artifact stays a few hundred entries.
 pub const SCALE_OUT_REDUCED_QUANTIZATION_K: f64 = 0.25;
 
 /// The homogeneous scale-out scenario: every ONI runs the same link design
@@ -428,15 +415,10 @@ fn counters_json(counters: CacheCounters) -> Json {
 /// 1. **Headline** — the homogeneous case at every thread count in
 ///    [`SCALE_OUT_THREAD_COUNTS`]; deterministic metrics and the
 ///    thread-normalized report must be bit-identical.
-/// 2. **Cross-engine A/B** (reduced size) — the shared-cache engine against
-///    `per_link_caches()`; physics must match bit-for-bit once cache
-///    accounting is set aside, and the per-link engine must pay strictly
-///    more solver invocations (the reported ratio is the point of the
-///    shared cache).
-/// 3. **Snapshot warm start** (reduced size) — a cold run persists
+/// 2. **Snapshot warm start** (reduced size) — a cold run persists
 ///    `snapshot_path`; the warm re-run must report zero solver invocations
 ///    and a 100 % hit rate while producing the same physics.
-/// 4. **Speedup floor** — single-thread → max-thread run-phase speedup must
+/// 3. **Speedup floor** — single-thread → max-thread run-phase speedup must
 ///    reach [`SCALE_OUT_SPEEDUP_FLOOR`] whenever the host has enough cores;
 ///    always recorded, only enforced on capable hosts.
 ///
@@ -483,20 +465,17 @@ pub fn build_scale_out_section(
         }
     }
 
-    // 2. Cross-engine A/B at the reduced size.  Cache accounting
-    // legitimately differs (per-link caches re-solve per ONI, and the
-    // shared engine deduplicates the initial fleet configuration through
-    // the cache), so the report's solver counters and the
-    // cache/solver/manager metric counters are set aside before the
-    // bit-identity comparison; the report itself — every delivered message,
-    // epoch, switch and temperature — must still match bit-for-bit.
+    // 2. Snapshot warm start at the reduced size.  Cache accounting
+    // legitimately differs between the cold and the warm run, so the
+    // report's solver counters and the cache/solver/manager metric counters
+    // are set aside before the bit-identity comparison; the report itself —
+    // every delivered message, epoch, switch and temperature — must still
+    // match bit-for-bit.
     let reduced = scale_out_builder(
         reduced_oni_count,
         reduced_messages_per_node,
         SCALE_OUT_REDUCED_QUANTIZATION_K,
     );
-    let shared = run_scale_out(&reduced, 1);
-    let per_link = run_scale_out(&reduced.clone().per_link_caches(), 1);
     let physics = |run: &ScaleOutRun| {
         let mut report = run.report.clone();
         report.config.threads = 0;
@@ -512,31 +491,8 @@ pub fn build_scale_out_section(
         });
         metrics
     };
-    if physics(&shared) != physics(&per_link) {
-        failures
-            .push("cross-engine: shared-cache and per-link-cache run reports diverge".to_string());
-    }
-    if physics_metrics(&shared) != physics_metrics(&per_link) {
-        failures.push(
-            "cross-engine: shared-cache and per-link-cache deterministic metrics diverge"
-                .to_string(),
-        );
-    }
-    let shared_solves = shared.report.solver_cache.misses;
-    let per_link_solves = per_link.report.solver_cache.misses;
-    if shared_solves == 0 {
-        failures.push("cross-engine: shared-cache run never invoked the solver".to_string());
-    }
-    if per_link_solves <= shared_solves {
-        failures.push(format!(
-            "cross-engine: per-link caches should re-solve strictly more than the shared cache \
-             ({per_link_solves} vs {shared_solves})"
-        ));
-    }
-
-    // 3. Snapshot warm start at the reduced size.  A snapshot left behind
-    // by a previous invocation would silently warm the cold run, so it is
-    // removed first.
+    // A snapshot left behind by a previous invocation would silently warm
+    // the cold run, so it is removed first.
     let _ = std::fs::remove_file(snapshot_path);
     let with_snapshot = || reduced.clone().cache_snapshot(snapshot_path);
     let cold = run_scale_out(&with_snapshot(), 1);
@@ -572,7 +528,7 @@ pub fn build_scale_out_section(
         );
     }
 
-    // 4. Run-phase speedup, enforced only where the host can express it.
+    // 3. Run-phase speedup, enforced only where the host can express it.
     let max_threads = *SCALE_OUT_THREAD_COUNTS
         .last()
         .unwrap_or_else(|| unreachable!("thread counts are a non-empty constant"));
@@ -618,19 +574,6 @@ pub fn build_scale_out_section(
             Json::obj(vec![
                 ("report", report_digest(&reference.report)),
                 ("metrics", reference.metrics.to_json()),
-                (
-                    "cross_engine",
-                    Json::obj(vec![
-                        ("oni_count", reduced_oni_count.into()),
-                        ("status", "bit-identical".into()),
-                        ("shared_cache_solves", shared_solves.into()),
-                        ("per_link_cache_solves", per_link_solves.into()),
-                        (
-                            "solve_ratio",
-                            (per_link_solves as f64 / shared_solves.max(1) as f64).into(),
-                        ),
-                    ]),
-                ),
                 (
                     "snapshot",
                     Json::obj(vec![

@@ -64,8 +64,8 @@ fn scale_out_section_gates_and_renders_at_reduced_size() {
         "onoc_perf_trajectory_snapshot_test_{}.json",
         std::process::id()
     ));
-    // Tiny headline and cross-engine sizes keep the eight runs (two thread
-    // counts + cross-engine A/B + cold/warm snapshot) debug-mode fast.
+    // Tiny headline and snapshot sizes keep the four runs (two thread
+    // counts + cold/warm snapshot) debug-mode fast.
     let section =
         build_scale_out_section(6, 12, 4, 8, &snapshot).expect("scale-out gates must pass");
     let _ = std::fs::remove_file(&snapshot);
@@ -84,12 +84,6 @@ fn scale_out_section_gates_and_renders_at_reduced_size() {
         .and_then(|w| w.get("misses"))
         .and_then(Json::as_u64);
     assert_eq!(warm_misses, Some(0), "warm start is pure hits");
-    let ratio = deterministic
-        .get("cross_engine")
-        .and_then(|c| c.get("solve_ratio"))
-        .and_then(Json::as_f64)
-        .expect("solve ratio");
-    assert!(ratio > 1.0, "per-link caches must re-solve more: {ratio}");
     let non_det = scale_out
         .get("non_deterministic")
         .expect("non_deterministic");

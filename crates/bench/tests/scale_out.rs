@@ -2,34 +2,38 @@
 //! through the bench harness's scenario builder:
 //!
 //! * a homogeneous fleet produces bit-identical physics whether the epoch
-//!   loop runs on 1, 4 or 8 threads, and whether the fleet shares one cache
-//!   or every link keeps its own;
+//!   loop runs on 1, 4 or 8 threads, and whether one shared manager serves
+//!   it or one manager per ONI does (a σ = 0 fleet, whose chip seeds give
+//!   every ONI its own stack fingerprint);
 //! * a persisted cache snapshot warm-starts a second run into a pure-hit
 //!   regime (zero solver invocations) without changing the physics.
 
 use onoc_bench::perf::{run_scale_out, scale_out_builder, ScaleOutRun};
 use onoc_link::CacheCounters;
-use onoc_sim::RunReport;
+use onoc_sim::{RingVariationConfig, RunReport};
 use onoc_telemetry::MetricsSnapshot;
+use onoc_thermal::BankTuningMode;
 use onoc_topology::Topology;
 use proptest::prelude::*;
 
 /// Coarse decision buckets keep the property-test runs fast.
 const QUANTIZATION_K: f64 = 0.25;
 
-/// The report with everything thread- or cache-accounting-dependent
-/// normalized away: what must be bit-identical across engines.
+/// The report with everything thread-, fleet-layout- or
+/// cache-accounting-dependent normalized away: what must be bit-identical
+/// across thread counts and fleet layouts.
 fn physics(report: &RunReport) -> RunReport {
     let mut report = report.clone();
     report.config.threads = 0;
+    report.config.variation = None;
     report.solver_cache = CacheCounters::default();
     report
 }
 
 /// Deterministic metrics minus the cache, solver and manager counters,
-/// which legitimately differ between the shared-cache and per-link-cache
-/// engines (the shared cache deduplicates the initial fleet configuration,
-/// so the per-link engine both re-solves more and asks its managers more).
+/// which legitimately differ between one shared manager and one manager per
+/// ONI (the shared manager deduplicates the initial fleet configuration,
+/// and per-ONI stacks cannot share solves).
 fn physics_metrics(run: &ScaleOutRun) -> MetricsSnapshot {
     let mut metrics = run.metrics.clone();
     metrics.counters.retain(|key, _| {
@@ -39,10 +43,10 @@ fn physics_metrics(run: &ScaleOutRun) -> MetricsSnapshot {
 }
 
 proptest! {
-    /// The shared-cache engine is an optimization, not a semantic change:
-    /// across thread counts {1, 4, 8} the full deterministic state (report
-    /// and metrics) is bit-identical, and the per-link-cache engine agrees
-    /// on every bit of physics.
+    /// The shared manager is an optimization, not a semantic change: across
+    /// thread counts {1, 4, 8} the full deterministic state (report and
+    /// metrics) is bit-identical, and one manager per ONI agrees on every
+    /// bit of physics.
     #[test]
     fn shared_cache_is_bit_identical_across_threads_and_engines(
         oni_count in 2usize..8,
@@ -59,15 +63,22 @@ proptest! {
             // any interleaving.
             prop_assert_eq!(run.report.solver_cache, reference.report.solver_cache);
         }
-        let per_link = run_scale_out(&builder.clone().per_link_caches(), 1);
-        prop_assert_eq!(physics(&per_link.report), physics(&reference.report));
-        prop_assert_eq!(physics_metrics(&per_link), physics_metrics(&reference));
-        // Per-link caches cannot share work across the fleet, so they pay
-        // at least as many solver invocations as the shared cache.
+        let per_oni = run_scale_out(
+            &builder.clone().variation(RingVariationConfig {
+                sigma_nm: 0.0,
+                seed: 1,
+                mode: BankTuningMode::PureHeater,
+            }),
+            1,
+        );
+        prop_assert_eq!(physics(&per_oni.report), physics(&reference.report));
+        prop_assert_eq!(physics_metrics(&per_oni), physics_metrics(&reference));
+        // Distinct stacks cannot share solves, so the per-ONI fleet pays at
+        // least as many solver invocations as the shared manager.
         prop_assert!(
-            per_link.report.solver_cache.misses >= reference.report.solver_cache.misses,
-            "per-link solves {} < shared solves {}",
-            per_link.report.solver_cache.misses,
+            per_oni.report.solver_cache.misses >= reference.report.solver_cache.misses,
+            "per-ONI solves {} < shared solves {}",
+            per_oni.report.solver_cache.misses,
             reference.report.solver_cache.misses
         );
     }

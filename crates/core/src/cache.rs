@@ -1,13 +1,12 @@
 //! The shared, sharded, memoized operating-point cache.
 //!
-//! PR 2's per-link memoization made the `(scheme, BER, temperature)`
-//! operating-point search ~10× cheaper, but the cache lived inside one
-//! [`NanophotonicLink`](crate::link::NanophotonicLink): a homogeneous fleet
-//! of thousands of *identical* ONIs still re-solved (or serialized behind a
-//! single mutex) what its neighbours had already computed.  This module
-//! lifts the memo into a [`SharedOpCache`] handle that many links, managers
-//! and simulation shards clone cheaply (`Arc` inside) and query
-//! concurrently:
+//! Solving one `(scheme, BER, temperature)` operating point runs the full
+//! photonic pipeline, and a fleet of ONIs asks for the same points over and
+//! over.  [`SharedOpCache`] memoizes those solves behind a handle that
+//! every link, manager and simulation shard of a fleet clones cheaply
+//! (`Arc` inside) and queries concurrently; the key carries the thermal
+//! stack's fingerprint, so links with different stacks share one cache
+//! without aliasing:
 //!
 //! * **Sharded by fingerprint** — the key space is split across
 //!   [`SHARD_COUNT`] independent shards, each behind its own lock, selected
@@ -18,8 +17,8 @@
 //!   is answered from the freshly-filled entry.  The aggregate hit/miss
 //!   counters are therefore *deterministic*: for a fixed query multiset,
 //!   `misses` equals the number of distinct keys touched and `hits` the
-//!   remainder, at any thread count and interleaving — bit-identical to the
-//!   serial first-touch accounting the per-link cache used.
+//!   remainder, at any thread count and interleaving — bit-identical to a
+//!   serial first-touch walk.
 //! * **Persistent snapshots** — [`SharedOpCache::to_json`] serializes every
 //!   completed entry (operating points *and* memoized infeasibilities)
 //!   through the `onoc-telemetry` JSON kernel, in sorted key order so the
@@ -164,12 +163,7 @@ impl Drop for InFlightGuard<'_> {
 #[derive(Debug)]
 struct CacheInner {
     buckets_per_kelvin: f64,
-    /// Completed-entry bound of the bounded mode; `None` grows without limit.
-    capacity: Option<usize>,
     shards: Vec<Shard>,
-    /// Serializes eviction passes so two concurrent over-capacity inserts
-    /// cannot both evict and undershoot the bound.
-    evict: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Whether the completed-entry set has changed since the cache was
@@ -180,8 +174,7 @@ struct CacheInner {
 
 /// A cheaply-clonable handle on one shared operating-point cache.
 ///
-/// Cloning the handle shares the underlying storage and counters; see
-/// [`SharedOpCache::detached`] for an empty cache at the same resolution.
+/// Cloning the handle shares the underlying storage and counters.
 #[derive(Debug, Clone)]
 pub struct SharedOpCache {
     inner: Arc<CacheInner>,
@@ -198,30 +191,7 @@ impl SharedOpCache {
     /// ([`DEFAULT_BUCKETS_PER_KELVIN`]).
     #[must_use]
     pub fn new() -> Self {
-        Self::new_with(DEFAULT_BUCKETS_PER_KELVIN, None)
-    }
-
-    /// An empty **bounded** cache at the default resolution: at most
-    /// `capacity` completed entries are retained, with deterministic
-    /// **key-ordered** eviction (the largest [`OpCacheKey`] goes first — not
-    /// LRU, whose victim depends on timing).  After any sequence of solves
-    /// the retained set is the `capacity` smallest keys ever completed,
-    /// regardless of insertion order or thread interleaving, so
-    /// billion-bucket sweeps run in fixed memory without losing the
-    /// bit-identical accounting of phase-structured workloads.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::InvalidConfiguration`] when `capacity` is zero — a cache
-    /// that can hold nothing would turn every query into a fresh solve while
-    /// still paying the claim protocol.
-    pub fn with_capacity(capacity: usize) -> Result<Self, LinkError> {
-        if capacity == 0 {
-            return Err(LinkError::InvalidConfiguration {
-                reason: "bounded cache capacity must be at least one entry".to_owned(),
-            });
-        }
-        Ok(Self::new_with(DEFAULT_BUCKETS_PER_KELVIN, Some(capacity)))
+        Self::new_with(DEFAULT_BUCKETS_PER_KELVIN)
     }
 
     /// An empty cache at `buckets_per_kelvin` resolution.
@@ -240,7 +210,7 @@ impl SharedOpCache {
                 ),
             });
         }
-        Ok(Self::new_with(buckets_per_kelvin, None))
+        Ok(Self::new_with(buckets_per_kelvin))
     }
 
     /// Internal constructor over a pre-validated resolution.
@@ -249,7 +219,7 @@ impl SharedOpCache {
     ///
     /// Panics if `buckets_per_kelvin` is not positive and finite (public
     /// entry points validate first).
-    fn new_with(buckets_per_kelvin: f64, capacity: Option<usize>) -> Self {
+    fn new_with(buckets_per_kelvin: f64) -> Self {
         assert!(
             buckets_per_kelvin > 0.0 && buckets_per_kelvin.is_finite(),
             "cache resolution must be positive and finite"
@@ -257,28 +227,12 @@ impl SharedOpCache {
         Self {
             inner: Arc::new(CacheInner {
                 buckets_per_kelvin,
-                capacity,
                 shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-                evict: Mutex::new(()),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 dirty: AtomicBool::new(false),
             }),
         }
-    }
-
-    /// A fresh, empty, private cache at the same resolution (and capacity
-    /// bound, if any) as this one — the pre-shared-cache "clone" semantics
-    /// of [`crate::NanophotonicLink`].
-    #[must_use]
-    pub fn detached(&self) -> Self {
-        Self::new_with(self.inner.buckets_per_kelvin, self.inner.capacity)
-    }
-
-    /// Completed-entry bound of the bounded mode; `None` when unbounded.
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.capacity
     }
 
     /// Whether two handles share the same underlying storage.
@@ -361,51 +315,7 @@ impl SharedOpCache {
         guard.armed = false;
         drop(map);
         shard.filled.notify_all();
-        self.enforce_capacity();
         (solved, false)
-    }
-
-    /// Evicts completed entries, largest key first, until the bounded
-    /// cache's capacity holds.  A single pass lock (`evict`) serializes
-    /// concurrent evictors — without it two threads crossing the bound
-    /// together would both remove a key and undershoot — while shard locks
-    /// are only ever taken one at a time, so no lock-order cycle exists.
-    fn enforce_capacity(&self) {
-        let Some(capacity) = self.inner.capacity else {
-            return;
-        };
-        let _pass = self
-            .inner
-            .evict
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            let mut total = 0usize;
-            let mut largest: Option<OpCacheKey> = None;
-            for shard in &self.inner.shards {
-                let map = lock_shard(shard);
-                for (key, slot) in map.iter() {
-                    if matches!(slot, Slot::Done(_)) {
-                        total += 1;
-                        if largest.is_none_or(|current| *key > current) {
-                            largest = Some(*key);
-                        }
-                    }
-                }
-            }
-            if total <= capacity {
-                return;
-            }
-            let Some(victim) = largest else {
-                return;
-            };
-            let shard = &self.inner.shards[victim.shard_index(self.inner.shards.len())];
-            let mut map = lock_shard(shard);
-            if matches!(map.get(&victim), Some(Slot::Done(_))) {
-                map.remove(&victim);
-                self.inner.dirty.store(true, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Aggregate hit/miss/entry counters of the whole cache.  `entries`
@@ -428,17 +338,6 @@ impl SharedOpCache {
             misses: self.inner.misses.load(Ordering::Relaxed),
             entries,
         }
-    }
-
-    /// Empties the cache and resets its counters.  In-flight claims are left
-    /// in place (their solvers will still complete and fill them).
-    pub fn clear(&self) {
-        for shard in &self.inner.shards {
-            lock_shard(shard).retain(|_, slot| matches!(slot, Slot::InFlight));
-        }
-        self.inner.hits.store(0, Ordering::Relaxed);
-        self.inner.misses.store(0, Ordering::Relaxed);
-        self.inner.dirty.store(true, Ordering::Relaxed);
     }
 
     /// Whether the completed-entry set has changed since the cache was
@@ -486,19 +385,15 @@ impl SharedOpCache {
                 Json::obj(fields)
             })
             .collect();
-        let mut fields = vec![
+        Json::obj(vec![
             ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
             ("kind", "onoc-op-cache-snapshot".into()),
             (
                 "buckets_per_kelvin",
                 Json::Num(self.inner.buckets_per_kelvin),
             ),
-        ];
-        if let Some(capacity) = self.inner.capacity {
-            fields.push(("capacity", usize_json(capacity)));
-        }
-        fields.push(("entries", Json::Arr(entries)));
-        Json::obj(fields)
+            ("entries", Json::Arr(entries)),
+        ])
     }
 
     /// Rebuilds a cache from a [`SharedOpCache::to_json`] document.  The
@@ -526,25 +421,7 @@ impl SharedOpCache {
             .get("buckets_per_kelvin")
             .and_then(Json::as_f64)
             .ok_or_else(|| invalid("missing buckets_per_kelvin".into()))?;
-        // Snapshots from unbounded caches carry no capacity field.
-        let capacity = match document.get("capacity") {
-            None => None,
-            Some(value) => Some(
-                usize_from_json(Some(value), "capacity")
-                    .map_err(&invalid)
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err(invalid("capacity must be at least one entry".into()))
-                        } else {
-                            Ok(n)
-                        }
-                    })?,
-            ),
-        };
-        // Validate the resolution through the public constructor, then build
-        // at the snapshot's capacity.
-        Self::with_resolution(buckets)?;
-        let cache = Self::new_with(buckets, capacity);
+        let cache = Self::with_resolution(buckets)?;
         let entries = document
             .get("entries")
             .and_then(Json::as_array)
@@ -570,10 +447,6 @@ impl SharedOpCache {
             let shard = &cache.inner.shards[key.shard_index(cache.inner.shards.len())];
             lock_shard(shard).insert(key, Slot::Done(Box::new(value)));
         }
-        // An over-full snapshot (say, written unbounded and re-opened with a
-        // hand-edited capacity) settles to the same key-ordered retained set
-        // a live run would have kept.
-        cache.enforce_capacity();
         Ok(cache)
     }
 
@@ -979,7 +852,6 @@ fn link_error_from_json(value: &Json) -> Result<LinkError, String> {
 mod tests {
     use super::*;
     use crate::link::NanophotonicLink;
-    use proptest::prelude::*;
 
     fn key(scheme: EccScheme, bucket: i64) -> OpCacheKey {
         OpCacheKey {
@@ -1063,28 +935,16 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_detached_copies_do_not() {
+    fn clones_share_storage_and_fresh_caches_do_not() {
         let cache = SharedOpCache::new();
         let shared = cache.clone();
         assert!(cache.ptr_eq(&shared));
         let point = sample_point();
         let _ = cache.get_or_solve(key(EccScheme::Hamming74, 1), || Ok(point));
         assert_eq!(shared.counters().entries, 1);
-        let detached = cache.detached();
-        assert!(!cache.ptr_eq(&detached));
-        assert_eq!(detached.counters(), CacheCounters::default());
-        assert_eq!(detached.buckets_per_kelvin(), cache.buckets_per_kelvin());
-    }
-
-    #[test]
-    fn clear_resets_entries_and_counters() {
-        let cache = SharedOpCache::new();
-        let point = sample_point();
-        let _ = cache.get_or_solve(key(EccScheme::Hamming74, 1), || Ok(point));
-        let _ = cache.get_or_solve(key(EccScheme::Hamming74, 1), || Ok(point));
-        assert_eq!(cache.counters().hits, 1);
-        cache.clear();
-        assert_eq!(cache.counters(), CacheCounters::default());
+        let fresh = SharedOpCache::new();
+        assert!(!cache.ptr_eq(&fresh));
+        assert_eq!(fresh.counters(), CacheCounters::default());
     }
 
     #[test]
@@ -1202,16 +1062,6 @@ mod tests {
         assert!(!loaded.is_dirty());
         let _ = loaded.get_or_solve(key(EccScheme::Hamming74, 2), || Ok(point));
         assert!(loaded.is_dirty(), "a fresh solve must dirty the cache");
-        // Clearing and evicting change the retained set too.
-        let cleared = SharedOpCache::load(&path).unwrap();
-        cleared.clear();
-        assert!(cleared.is_dirty());
-        let bounded = SharedOpCache::with_capacity(1).unwrap();
-        let _ = bounded.get_or_solve(key(EccScheme::Hamming74, 1), || Ok(point));
-        bounded.save(&path).unwrap();
-        assert!(!bounded.is_dirty());
-        let _ = bounded.get_or_solve(key(EccScheme::Hamming74, 2), || Ok(point));
-        assert!(bounded.is_dirty(), "eviction changes the retained set");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1224,115 +1074,5 @@ mod tests {
         });
         let rebuilt = link_error_from_json(&link_error_to_json(&error)).unwrap();
         assert_eq!(rebuilt, error);
-    }
-
-    #[test]
-    fn bounded_capacity_is_validated_and_propagates_to_detached_copies() {
-        assert!(matches!(
-            SharedOpCache::with_capacity(0),
-            Err(LinkError::InvalidConfiguration { .. })
-        ));
-        let cache = SharedOpCache::with_capacity(7).unwrap();
-        assert_eq!(cache.capacity(), Some(7));
-        assert_eq!(cache.detached().capacity(), Some(7));
-        assert_eq!(SharedOpCache::new().capacity(), None);
-    }
-
-    #[test]
-    fn bounded_cache_retains_the_smallest_keys_in_key_order() {
-        let cache = SharedOpCache::with_capacity(3).unwrap();
-        let point = sample_point();
-        // Scrambled insertion order; the retained set must not depend on it.
-        for bucket in [9i64, 2, 7, 4, 1, 8, 3] {
-            let _ = cache.get_or_solve(key(EccScheme::Hamming74, bucket), || Ok(point));
-        }
-        let retained: Vec<i64> = cache.sorted_entries().keys().map(|k| k.bucket).collect();
-        assert_eq!(retained, vec![1, 2, 3], "capacity keeps the smallest keys");
-        let counters = cache.counters();
-        assert_eq!(counters.misses, 7, "every distinct key solved once");
-        assert_eq!(counters.entries, 3);
-        // A re-query of an evicted key re-solves (miss), then is evicted
-        // again because it is larger than every retained key.
-        let (_, hit) = cache.get_or_solve(key(EccScheme::Hamming74, 9), || Ok(point));
-        assert!(!hit);
-        assert_eq!(
-            cache
-                .sorted_entries()
-                .keys()
-                .map(|k| k.bucket)
-                .collect::<Vec<i64>>(),
-            vec![1, 2, 3]
-        );
-    }
-
-    #[test]
-    fn bounded_snapshot_round_trips_capacity_and_trims_overfull_documents() {
-        let cache = SharedOpCache::with_capacity(2).unwrap();
-        let point = sample_point();
-        for bucket in [5i64, 3, 8] {
-            let _ = cache.get_or_solve(key(EccScheme::Hamming74, bucket), || Ok(point));
-        }
-        let rebuilt = SharedOpCache::from_json(&cache.to_json()).unwrap();
-        assert_eq!(rebuilt.capacity(), Some(2));
-        assert_eq!(rebuilt.counters().entries, 2);
-        // An unbounded snapshot re-read is still unbounded.
-        let unbounded = SharedOpCache::new();
-        let _ = unbounded.get_or_solve(key(EccScheme::Hamming74, 1), || Ok(point));
-        assert_eq!(
-            SharedOpCache::from_json(&unbounded.to_json())
-                .unwrap()
-                .capacity(),
-            None
-        );
-    }
-
-    /// Two-phase bounded workload whose accounting is order-independent:
-    /// phase 1 solves every key exactly once (split across threads), phase 2
-    /// re-queries every key exactly once.  Retained keys answer as hits,
-    /// evicted keys re-solve — and because eviction is key-ordered, which
-    /// keys survive does not depend on the interleaving.
-    fn bounded_run(n: usize, cap: usize, threads: usize) -> (u64, u64, usize, Vec<i64>) {
-        let cache = SharedOpCache::with_capacity(cap).unwrap();
-        let point = sample_point();
-        let keys: Vec<OpCacheKey> = (0..n)
-            .map(|b| key(EccScheme::Hamming74, b as i64))
-            .collect();
-        for _phase in 0..2 {
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let cache = cache.clone();
-                    let keys = keys.clone();
-                    scope.spawn(move || {
-                        for k in keys.into_iter().skip(t).step_by(threads) {
-                            let (result, _) = cache.get_or_solve(k, || Ok(point));
-                            assert!(result.is_ok());
-                        }
-                    });
-                }
-            });
-        }
-        let counters = cache.counters();
-        let retained: Vec<i64> = cache.sorted_entries().keys().map(|k| k.bucket).collect();
-        (counters.hits, counters.misses, counters.entries, retained)
-    }
-
-    proptest! {
-        #[test]
-        fn bounded_accounting_is_bit_identical_at_thread_counts_1_and_4(
-            n in 1usize..40,
-            cap in 1usize..40,
-        ) {
-            let serial = bounded_run(n, cap, 1);
-            let sharded = bounded_run(n, cap, 4);
-            prop_assert_eq!(&serial, &sharded);
-            let survivors = cap.min(n);
-            // Phase 1: one miss per distinct key.  Phase 2: retained keys
-            // hit, evicted keys re-solve.
-            prop_assert_eq!(serial.0, survivors as u64);
-            prop_assert_eq!(serial.1, (n + n - survivors) as u64);
-            prop_assert_eq!(serial.2, survivors);
-            let expected: Vec<i64> = (0..survivors as i64).collect();
-            prop_assert_eq!(serial.3, expected);
-        }
     }
 }

@@ -179,16 +179,6 @@ impl CacheCounters {
             self.hits as f64 / self.total() as f64
         }
     }
-
-    /// Accumulates another counter snapshot into this one — the fleet
-    /// aggregation used by `RunReport`.  Summing `entries` over-counts when
-    /// the snapshots come from handles sharing one cache; aggregate shared
-    /// fleets through the cache handle's own counters instead.
-    pub fn merge(&mut self, other: CacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.entries += other.entries;
-    }
 }
 
 impl std::fmt::Display for CacheCounters {
@@ -210,14 +200,13 @@ impl std::fmt::Display for CacheCounters {
 /// This is the object the rest of the workspace (examples, benches, the NoC
 /// simulator) interacts with.
 ///
-/// Memoized queries go through a [`SharedOpCache`]: by default each link
-/// starts with its own private cache, but a fleet of identical links can be
-/// pointed at one shared cache via
+/// Memoized queries go through a [`SharedOpCache`]: each link starts with
+/// its own cache, and a fleet of links joins one cache via
 /// [`NanophotonicLink::with_shared_cache`] so the `(scheme, BER bits,
 /// temperature bucket, stack fingerprint)` key space is solved once
-/// fleet-wide.  **Cloning a link shares its cache handle** (entries and
-/// counters); use [`NanophotonicLink::clone_with_fresh_cache`] for an
-/// isolated clone with an empty cache of the same resolution.
+/// fleet-wide — links with identical stacks reuse each other's solves, and
+/// the fingerprint in the key keeps distinct stacks apart.  **Cloning a
+/// link shares its cache handle** (entries and counters).
 #[derive(Debug, Clone)]
 pub struct NanophotonicLink {
     solver: ThermalSolver,
@@ -282,12 +271,6 @@ impl NanophotonicLink {
         self
     }
 
-    /// Replaces the telemetry sink in place (used when wiring an existing
-    /// fleet member).
-    pub fn set_telemetry(&mut self, telemetry: RecorderHandle) {
-        self.telemetry = telemetry;
-    }
-
     /// The attached telemetry sink (disabled by default).
     #[must_use]
     pub fn telemetry(&self) -> &RecorderHandle {
@@ -328,17 +311,6 @@ impl NanophotonicLink {
     #[must_use]
     pub fn shared_cache(&self) -> SharedOpCache {
         self.cache.clone()
-    }
-
-    /// A clone with a fresh (empty, private) cache at the same resolution —
-    /// the pre-scale-out `Clone` semantics, for callers that need cache
-    /// isolation (e.g. counting one link's solver traffic in isolation).
-    /// The derived `Clone` shares the cache handle instead.
-    #[must_use]
-    pub fn clone_with_fresh_cache(&self) -> Self {
-        let mut clone = self.clone();
-        clone.cache = self.cache.detached();
-        clone
     }
 
     /// Replaces the thermal stack (ring drift model, heater, variation,
@@ -609,12 +581,6 @@ impl NanophotonicLink {
     #[must_use]
     pub fn cache_counters(&self) -> CacheCounters {
         self.cache.counters()
-    }
-
-    /// Empties the memoized operating-point cache and resets its counters.
-    /// With a shared cache, this clears the cache for every sharer.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
     }
 
     /// The representative temperature the cache snaps `temperature` to.
@@ -965,18 +931,14 @@ mod tests {
     }
 
     #[test]
-    fn clearing_and_fresh_cache_cloning_reset_the_cache() {
+    fn a_cache_resolution_swaps_in_an_empty_cache_on_its_own_grid() {
         let l = link();
         let _ = l.operating_point_memoized(EccScheme::Uncoded, 1e-11, Celsius::new(25.0));
         assert_eq!(l.cache_counters().entries, 1);
-        let isolated = l.clone_with_fresh_cache();
-        assert_eq!(isolated.cache_counters().entries, 0);
-        assert_eq!(isolated.cache_counters().total(), 0);
-        assert!(!isolated.shared_cache().ptr_eq(&l.shared_cache()));
-        l.clear_cache();
-        assert_eq!(l.cache_counters(), CacheCounters::default());
-        // A custom resolution snaps more coarsely.
-        let coarse = link().with_cache_resolution(1.0).unwrap();
+        let coarse = l.clone().with_cache_resolution(1.0).unwrap();
+        assert!(!coarse.shared_cache().ptr_eq(&l.shared_cache()));
+        assert_eq!(coarse.cache_counters(), CacheCounters::default());
+        // The coarser grid snaps more coarsely.
         assert!((coarse.cache_bucket_temperature(Celsius::new(55.4)).value() - 55.0).abs() < 1e-12);
     }
 
@@ -1004,11 +966,9 @@ mod tests {
         let _ = b.operating_point_memoized(EccScheme::Hamming74, 1e-11, Celsius::new(40.0));
         assert_eq!(fleet.counters().misses, 1, "identical stacks share entries");
         assert_eq!(fleet.counters().hits, 1);
-        // merge() sums snapshots — the heterogeneous-fleet aggregation path.
-        let mut merged = a.cache_counters();
-        merged.merge(b.cache_counters());
-        assert_eq!(merged.hits, 2);
-        assert_eq!(merged.misses, 2);
+        // Every sharer reads the one cache's counters.
+        assert_eq!(a.cache_counters(), fleet.counters());
+        assert_eq!(b.cache_counters(), fleet.counters());
     }
 
     #[test]

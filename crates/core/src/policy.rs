@@ -11,7 +11,7 @@
 use onoc_ecc_codes::EccScheme;
 use onoc_units::{Celsius, Milliwatts};
 
-use crate::link::{LinkRequest, NanophotonicLink, OperatingPoint, SelectionObjective};
+use crate::link::{LinkError, LinkRequest, NanophotonicLink, OperatingPoint, SelectionObjective};
 
 /// Coarse application classes distinguished by the manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,36 +110,44 @@ impl LinkManager {
     /// Creates a manager over `link` with the given candidate schemes and the
     /// nominal BER target the platform guarantees.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `candidates` is empty or `nominal_ber` is outside (0, 0.5).
-    #[must_use]
-    pub fn new(link: NanophotonicLink, candidates: Vec<EccScheme>, nominal_ber: f64) -> Self {
-        assert!(
-            !candidates.is_empty(),
-            "at least one candidate scheme is required"
-        );
-        assert!(
-            nominal_ber > 0.0 && nominal_ber < 0.5,
-            "nominal BER must be in (0, 0.5)"
-        );
-        Self {
+    /// [`LinkError::InvalidConfiguration`] when `candidates` is empty or
+    /// `nominal_ber` is outside (0, 0.5).
+    pub fn new(
+        link: NanophotonicLink,
+        candidates: Vec<EccScheme>,
+        nominal_ber: f64,
+    ) -> Result<Self, LinkError> {
+        if candidates.is_empty() {
+            return Err(LinkError::InvalidConfiguration {
+                reason: "at least one candidate scheme is required".to_owned(),
+            });
+        }
+        if !(nominal_ber > 0.0 && nominal_ber < 0.5) {
+            return Err(LinkError::InvalidConfiguration {
+                reason: format!("nominal BER must be in (0, 0.5), got {nominal_ber}"),
+            });
+        }
+        Ok(Self {
             link,
             candidates,
             nominal_ber,
             power_budget: None,
-        }
+        })
     }
 
     /// The manager used by the paper's evaluation: the three paper schemes at
     /// a nominal BER of 10⁻¹¹.
     #[must_use]
     pub fn paper_manager() -> Self {
-        Self::new(
-            NanophotonicLink::paper_link(),
-            EccScheme::paper_schemes().to_vec(),
-            1e-11,
-        )
+        // Valid by construction: three candidates and a BER inside (0, 0.5).
+        Self {
+            link: NanophotonicLink::paper_link(),
+            candidates: EccScheme::paper_schemes().to_vec(),
+            nominal_ber: 1e-11,
+            power_budget: None,
+        }
     }
 
     /// Applies a per-waveguide power budget to every subsequent decision.
@@ -229,18 +237,6 @@ impl LinkManager {
         TrafficClass::all()
             .into_iter()
             .map(|class| (class, self.configure(class)))
-            .collect()
-    }
-
-    /// Configures the link for every class at `temperature`.
-    #[must_use]
-    pub fn configure_all_at(
-        &self,
-        temperature: Celsius,
-    ) -> Vec<(TrafficClass, Option<ManagerDecision>)> {
-        TrafficClass::all()
-            .into_iter()
-            .map(|class| (class, self.configure_at(class, temperature)))
             .collect()
     }
 }
@@ -351,8 +347,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn empty_candidates_panics() {
-        let _ = LinkManager::new(NanophotonicLink::paper_link(), vec![], 1e-9);
+    fn invalid_manager_configurations_are_typed_errors() {
+        let paper = || EccScheme::paper_schemes().to_vec();
+        for (candidates, ber, expected) in [
+            (vec![], 1e-9, "at least one candidate"),
+            (paper(), 0.0, "nominal BER"),
+            (paper(), 0.5, "nominal BER"),
+            (paper(), -1e-9, "nominal BER"),
+            (paper(), f64::NAN, "nominal BER"),
+        ] {
+            match LinkManager::new(NanophotonicLink::paper_link(), candidates, ber) {
+                Err(LinkError::InvalidConfiguration { reason }) => {
+                    assert!(reason.contains(expected), "BER {ber}: {reason}");
+                }
+                other => panic!("BER {ber}: expected a configuration error, got {other:?}"),
+            }
+        }
+        assert!(LinkManager::new(NanophotonicLink::paper_link(), paper(), 1e-9).is_ok());
     }
 }

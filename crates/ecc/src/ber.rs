@@ -47,18 +47,6 @@ pub fn repetition_output_ber(p: f64, repetitions: usize) -> f64 {
     sum
 }
 
-/// Decoded BER of a SECDED (extended Hamming) code.
-///
-/// Detected-but-uncorrectable double errors are counted as erroneous bits
-/// (worst case: the word is consumed as-is), which keeps the model
-/// conservative and monotone.
-#[must_use]
-pub fn secded_output_ber(p: f64, n: usize) -> f64 {
-    // Same residual-error structure as Hamming; the extra parity bit slightly
-    // lengthens the block.
-    hamming_output_ber(p, n)
-}
-
 /// Decoded BER of a given scheme as a function of the raw channel BER.
 #[must_use]
 pub fn coded_ber(scheme: EccScheme, raw_ber: f64) -> f64 {

@@ -247,39 +247,6 @@ impl MwsrChannel {
         }
     }
 
-    /// Returns a copy of this channel with **per-physical-ring** residual
-    /// detunings re-indexed through a design-time wavelength assignment:
-    /// `detunings_by_ring[r]` is the residual of physical ring `r`, and the
-    /// channel applies it to the logical wavelength index that ring serves
-    /// (`assignment.ring_for_lane(j) == r`).  With the identity assignment
-    /// this is exactly [`MwsrChannel::with_ring_detunings`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment or the detuning vector does not carry one
-    /// entry per wavelength, or any detuning is not finite.
-    #[must_use]
-    pub fn with_assigned_ring_detunings(
-        &self,
-        detunings_by_ring: &[f64],
-        assignment: &onoc_thermal::WavelengthAssignment,
-    ) -> Self {
-        assert_eq!(
-            assignment.len(),
-            self.geometry.wavelength_count(),
-            "one assignment entry per wavelength is required"
-        );
-        assert_eq!(
-            detunings_by_ring.len(),
-            self.geometry.wavelength_count(),
-            "one detuning per wavelength is required"
-        );
-        let by_lane: Vec<f64> = (0..self.geometry.wavelength_count())
-            .map(|lane| detunings_by_ring[assignment.ring_for_lane(lane)])
-            .collect();
-        self.with_ring_detunings(&by_lane)
-    }
-
     /// Returns a copy of this channel whose laser operates at `ambient`.
     #[must_use]
     pub fn with_laser_ambient(&self, ambient: onoc_units::Celsius) -> Self {
@@ -577,39 +544,6 @@ mod tests {
             let b = per_index.path_transmission(index).value();
             assert!((a - b).abs() / a < 1e-9, "channel {index}: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn assigned_detunings_land_on_the_served_lane() {
-        let ch = channel();
-        // Physical ring 5 carries the only residual; under a one-slot
-        // rotation it serves lane 6, so lane 6 must degrade, not lane 5.
-        let mut by_ring = [0.0; 16];
-        by_ring[5] = 0.08;
-        let rotation = onoc_thermal::WavelengthAssignment::new(
-            (0..16).map(|j: usize| (j + 15) % 16).collect(),
-        )
-        .unwrap();
-        let assigned = ch.with_assigned_ring_detunings(&by_ring, &rotation);
-        assert!((assigned.ring_detuning_nm(6) - 0.08).abs() < 1e-12);
-        assert_eq!(assigned.ring_detuning_nm(5), 0.0);
-        assert!(assigned.swing_factor(6) < ch.swing_factor(6));
-        // The identity assignment reproduces with_ring_detunings exactly.
-        let identity = onoc_thermal::WavelengthAssignment::identity(16);
-        let a = ch.with_assigned_ring_detunings(&by_ring, &identity);
-        let b = ch.with_ring_detunings(&by_ring);
-        for index in 0..16 {
-            assert_eq!(a.ring_detuning_nm(index), b.ring_detuning_nm(index));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one assignment entry per wavelength")]
-    fn wrong_length_assignment_is_rejected() {
-        let _ = channel().with_assigned_ring_detunings(
-            &[0.0; 16],
-            &onoc_thermal::WavelengthAssignment::identity(4),
-        );
     }
 
     #[test]

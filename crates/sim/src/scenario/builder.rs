@@ -36,11 +36,6 @@ pub struct ScenarioBuilder {
     /// Persistent cache snapshot: loaded (if present) before the run, saved
     /// after it.  Also a side channel — see `shared_cache`.
     snapshot_path: Option<PathBuf>,
-    /// Forces one manager (and one private cache) per ONI even for a
-    /// homogeneous fleet — the pre-scale-out engine, kept for A/B
-    /// comparison.  Physics are bit-identical to the shared-cache engine;
-    /// only the cache counters differ (each ONI re-solves its own points).
-    per_link_caches: bool,
 }
 
 impl ScenarioBuilder {
@@ -272,23 +267,10 @@ impl ScenarioBuilder {
     /// sweep reports zero solver invocations), and the cache is saved back
     /// after [`Scenario::run`] completes.  The snapshot is rendered through
     /// the deterministic telemetry JSON kernel, so its bytes are reproducible
-    /// for a given entry set.  Mutually exclusive with
-    /// [`ScenarioBuilder::per_link_caches`].
+    /// for a given entry set.
     #[must_use]
     pub fn cache_snapshot(mut self, path: impl Into<PathBuf>) -> Self {
         self.snapshot_path = Some(path.into());
-        self
-    }
-
-    /// Forces the pre-scale-out fleet layout: one manager with its own
-    /// private cache per ONI, even when the fleet is homogeneous.  Physics
-    /// are bit-identical to the default shared-cache engine (property-
-    /// tested); only the cache counters differ, since every ONI re-solves
-    /// points its neighbours already computed.  Kept for A/B comparison and
-    /// for isolating one channel's solver traffic.
-    #[must_use]
-    pub fn per_link_caches(mut self) -> Self {
-        self.per_link_caches = true;
         self
     }
 
@@ -309,37 +291,26 @@ impl ScenarioBuilder {
             FleetCacheSetup {
                 shared_cache: self.shared_cache,
                 snapshot_path: self.snapshot_path,
-                per_link_caches: self.per_link_caches,
             },
         )
     }
 }
 
-/// How the fleet's operating-point caches are wired: the builder's
+/// Where the fleet's one operating-point cache comes from: the builder's
 /// side-channel cache knobs, collected for [`Scenario::prepare`].
 #[derive(Debug)]
 pub(super) struct FleetCacheSetup {
     pub(super) shared_cache: Option<SharedOpCache>,
     pub(super) snapshot_path: Option<PathBuf>,
-    pub(super) per_link_caches: bool,
 }
 
 impl FleetCacheSetup {
     /// Resolves the fleet cache: the injected handle, a warm-started load of
     /// the snapshot file, or a fresh cache at the configured resolution.
-    /// Returns `None` in per-link mode (every link keeps a private cache).
     pub(super) fn resolve(
         &self,
         config: &ScenarioConfig,
-    ) -> Result<Option<SharedOpCache>, SimulationError> {
-        if self.per_link_caches {
-            if self.shared_cache.is_some() || self.snapshot_path.is_some() {
-                return Err(invalid(
-                    "per-link caches cannot be combined with a shared cache or a cache snapshot",
-                ));
-            }
-            return Ok(None);
-        }
+    ) -> Result<SharedOpCache, SimulationError> {
         let check_resolution = |cache: &SharedOpCache, origin: &str| {
             if let Some(buckets) = config.cache_buckets_per_kelvin {
                 if cache.buckets_per_kelvin() != buckets {
@@ -360,18 +331,16 @@ impl FleetCacheSetup {
                      pick one owner for the warm start",
                 ));
             }
-            return Ok(Some(cache.clone()));
+            return Ok(cache.clone());
         }
-        if let Some(path) = &self.snapshot_path {
-            if path.exists() {
-                let cache = SharedOpCache::load(path)
-                    .map_err(|e| invalid(format!("cache snapshot failed to load: {e}")))?;
-                check_resolution(&cache, "the loaded cache snapshot")?;
-                return Ok(Some(cache));
-            }
-            // First run: start cold, save after the run.
-            return config.fresh_cache().map(Some);
+        if let Some(path) = self.snapshot_path.as_ref().filter(|path| path.exists()) {
+            let cache = SharedOpCache::load(path)
+                .map_err(|e| invalid(format!("cache snapshot failed to load: {e}")))?;
+            check_resolution(&cache, "the loaded cache snapshot")?;
+            return Ok(cache);
         }
-        Ok(None)
+        // No injected cache and no snapshot on disk yet: start cold (a
+        // snapshot path is written after the run).
+        config.fresh_cache()
     }
 }

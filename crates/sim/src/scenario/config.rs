@@ -476,14 +476,9 @@ impl ScenarioConfig {
 
     /// The link of destination `oni` under this configuration: the base
     /// stack (custom or paper default) plus, for heterogeneous fleets, that
-    /// ONI's own chip instance and tuning mode.  With a fleet cache the link
-    /// joins the shared storage (the cache handle carries the resolution);
-    /// without one it keeps a private cache at the configured resolution.
-    pub(super) fn oni_link(
-        &self,
-        oni: usize,
-        fleet_cache: Option<&SharedOpCache>,
-    ) -> NanophotonicLink {
+    /// ONI's own chip instance and tuning mode, joined to the fleet cache
+    /// (whose handle carries the resolution).
+    pub(super) fn oni_link(&self, oni: usize, fleet_cache: &SharedOpCache) -> NanophotonicLink {
         let mut link = NanophotonicLink::paper_link();
         if let Some(stack) = self.topology_stack(oni) {
             // Crosstalk-adjusted reader-channel stack of this node's fabric
@@ -498,14 +493,7 @@ impl ScenarioConfig {
                 .with_fabrication_variation(variation.oni_variation(oni))
                 .with_bank_tuning_mode(variation.mode);
         }
-        if let Some(cache) = fleet_cache {
-            link = link.with_shared_cache(cache.clone());
-        } else if let Some(buckets) = self.cache_buckets_per_kelvin {
-            link = link
-                .with_cache_resolution(buckets)
-                .unwrap_or_else(|e| panic!("validated cache resolution: {e}"));
-        }
-        link
+        link.with_shared_cache(fleet_cache.clone())
     }
 
     /// A fresh, empty fleet cache at the configured resolution.

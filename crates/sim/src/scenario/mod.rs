@@ -80,8 +80,8 @@ struct Setup {
     /// All runs keep exactly one fleet unless per-phase design assignments
     /// are configured over a scheduled model; within a fleet there is one
     /// manager per destination ONI for heterogeneous fleets, or a single
-    /// shared manager (and operating-point cache) when every channel is the
-    /// same chip.
+    /// shared manager when every channel is the same chip.  Every manager's
+    /// link resolves through `fleet_cache`.
     managers: Vec<Vec<LinkManager>>,
     /// The initial operating point of ONI 0's channel.
     baseline: ManagerDecision,
@@ -98,10 +98,11 @@ struct Setup {
     /// Telemetry sink shared with the manager fleet (see
     /// [`ScenarioBuilder::telemetry`]).
     recorder: RecorderHandle,
-    /// The shared operating-point cache the whole fleet resolves through,
-    /// when one is in play (injected, snapshot-loaded, or snapshot-fresh);
-    /// `None` when every manager owns a private cache.
-    fleet_cache: Option<SharedOpCache>,
+    /// The one operating-point cache the whole fleet resolves through:
+    /// injected, snapshot-loaded, or fresh at the configured resolution.
+    /// Its keys carry the stack fingerprint, so managers whose stacks
+    /// coincide share their solves and distinct stacks never alias.
+    fleet_cache: SharedOpCache,
     /// Where to save the fleet cache after the run (see
     /// [`ScenarioBuilder::cache_snapshot`]).
     snapshot_path: Option<PathBuf>,
@@ -148,20 +149,9 @@ impl Setup {
             .collect()
     }
 
-    /// Aggregated operating-point cache counters across the manager fleet.
-    /// With a fleet-wide cache the handle's own counters are authoritative
-    /// (a per-manager fold would double-count the shared traffic).
+    /// The operating-point cache counters of the whole manager fleet.
     fn cache_counters(&self) -> CacheCounters {
-        if let Some(cache) = &self.fleet_cache {
-            return cache.counters();
-        }
-        self.managers
-            .iter()
-            .flatten()
-            .fold(CacheCounters::default(), |mut total, manager| {
-                total.merge(manager.link().cache_counters());
-                total
-            })
+        self.fleet_cache.counters()
     }
 
     /// The report a run starts from and fills in as it plays: the
@@ -212,11 +202,11 @@ impl Setup {
 type Fleets = (Vec<Vec<LinkManager>>, Vec<Vec<WavelengthAssignment>>);
 
 /// The fleets of `config`: one manager per ONI when `one_per_oni`, else a
-/// single shared manager.
+/// single shared manager, every manager's link joined to `fleet_cache`.
 fn build_fleets(
     config: &ScenarioConfig,
     recorder: &RecorderHandle,
-    fleet_cache: Option<&SharedOpCache>,
+    fleet_cache: &SharedOpCache,
     one_per_oni: bool,
 ) -> Result<Fleets, SimulationError> {
     let n = config.oni_count;
@@ -239,37 +229,37 @@ fn build_fleets(
         None => None,
     };
     let phase_fleets = design.as_ref().map_or(1, |(_, maps)| maps.len());
+    let mut managers = Vec::with_capacity(phase_fleets);
     let mut assignments: Vec<Vec<WavelengthAssignment>> = Vec::new();
-    let managers = (0..phase_fleets)
-        .map(|phase| {
-            let mut fleet_assignments: Vec<WavelengthAssignment> = Vec::new();
-            let fleet: Vec<LinkManager> = (0..manager_count)
-                .map(|oni| {
-                    let mut link = config
-                        .oni_link(oni, fleet_cache)
-                        .with_telemetry(recorder.clone());
-                    if let Some((spec, maps)) = &design {
-                        let assigner = link.wavelength_assigner(spec.strategy, spec.oni_seed(oni));
-                        let assignment = assigner
-                            .assign_traced(&link.ring_bank_state_at(maps[phase][oni]), recorder);
-                        fleet_assignments.push(assignment.clone());
-                        link = link
-                            .with_wavelength_assignment(assignment)
-                            .expect("the assigner covers the link's own wavelength grid");
-                    }
-                    LinkManager::new(
-                        link,
-                        EccScheme::paper_schemes().to_vec(),
-                        config.nominal_ber,
-                    )
-                })
-                .collect();
-            if design.is_some() {
-                assignments.push(fleet_assignments);
+    for phase in 0..phase_fleets {
+        let mut fleet = Vec::with_capacity(manager_count);
+        let mut fleet_assignments: Vec<WavelengthAssignment> = Vec::new();
+        for oni in 0..manager_count {
+            let mut link = config
+                .oni_link(oni, fleet_cache)
+                .with_telemetry(recorder.clone());
+            if let Some((spec, maps)) = &design {
+                let assigner = link.wavelength_assigner(spec.strategy, spec.oni_seed(oni));
+                let assignment =
+                    assigner.assign_traced(&link.ring_bank_state_at(maps[phase][oni]), recorder);
+                fleet_assignments.push(assignment.clone());
+                link = link
+                    .with_wavelength_assignment(assignment)
+                    .map_err(|e| invalid(e.to_string()))?;
             }
-            fleet
-        })
-        .collect();
+            let manager = LinkManager::new(
+                link,
+                EccScheme::paper_schemes().to_vec(),
+                config.nominal_ber,
+            )
+            .map_err(|e| invalid(e.to_string()))?;
+            fleet.push(manager);
+        }
+        if design.is_some() {
+            assignments.push(fleet_assignments);
+        }
+        managers.push(fleet);
+    }
     Ok((managers, assignments))
 }
 
@@ -282,25 +272,15 @@ impl Scenario {
         cache_setup: FleetCacheSetup,
     ) -> Result<Self, SimulationError> {
         config.validate()?;
-        let mut fleet_cache = cache_setup.resolve(&config)?;
-        let topology_heterogeneous = config.topology_fleet_is_heterogeneous();
-        if fleet_cache.is_none() && !cache_setup.per_link_caches && topology_heterogeneous {
-            // Crosstalk-heterogeneous fabric: stamp one fleet-wide shared
-            // cache so links whose derived stacks coincide reuse each
-            // other's solves — keys carry the stack fingerprint, so mixing
-            // distinct stacks in one store is safe.
-            fleet_cache = Some(config.fresh_cache()?);
-        }
-        // A homogeneous fleet shares one manager (and one operating-point
-        // cache); a heterogeneous fleet — per-ONI chip instances, per-ONI
-        // design-time assignments, or crosstalk-scaled topology stacks —
-        // gets one manager per ONI, as does the per-link-cache A/B engine.
+        let fleet_cache = cache_setup.resolve(&config)?;
+        // A homogeneous fleet shares one manager; a heterogeneous fleet —
+        // per-ONI chip instances, per-ONI design-time assignments, or
+        // crosstalk-scaled topology stacks — gets one manager per ONI.
+        // Either way every link resolves through the one fleet cache.
         let one_per_oni = config.variation.is_some()
             || config.assignment.is_some()
-            || cache_setup.per_link_caches
-            || topology_heterogeneous;
-        let (managers, assignments) =
-            build_fleets(&config, &recorder, fleet_cache.as_ref(), one_per_oni)?;
+            || config.topology_fleet_is_heterogeneous();
+        let (managers, assignments) = build_fleets(&config, &recorder, &fleet_cache, one_per_oni)?;
         let generated = TrafficGenerator::new(
             config.pattern,
             config.oni_count,
@@ -405,15 +385,6 @@ impl Scenario {
         &self.setup.assignments
     }
 
-    /// The fleet-wide shared operating-point cache, when one is in play
-    /// (see [`ScenarioBuilder::shared_cache`] /
-    /// [`ScenarioBuilder::cache_snapshot`]); `None` when every manager owns
-    /// a private cache.
-    #[must_use]
-    pub fn shared_cache(&self) -> Option<SharedOpCache> {
-        self.setup.fleet_cache.clone()
-    }
-
     /// Runs the scenario to completion.  With a snapshot path configured,
     /// the fleet cache is saved after the run.
     ///
@@ -427,9 +398,10 @@ impl Scenario {
             Engine::PerMessage(state) => per_message::run(&setup, state),
             Engine::EpochGated(state) => epoch::run(&setup, state),
         };
-        if let (Some(cache), Some(path)) = (&setup.fleet_cache, &setup.snapshot_path) {
+        if let Some(path) = &setup.snapshot_path {
             // A warm-started run that added no entries leaves the snapshot
             // bytes untouched instead of rewriting the whole file.
+            let cache = &setup.fleet_cache;
             if cache.is_dirty() || !path.exists() {
                 cache
                     .save(path)

@@ -149,8 +149,8 @@ pub struct RunReport {
     /// Phase boundaries crossed while playing a scheduled workload, in time
     /// order (empty under the per-message policy or an unscheduled model).
     pub phases: Vec<PhaseTransition>,
-    /// Aggregated operating-point cache counters of the manager fleet:
-    /// `misses` is the number of actual photonic-solver invocations.
+    /// Counters of the fleet's one operating-point cache: `misses` is the
+    /// number of actual photonic-solver invocations.
     pub solver_cache: CacheCounters,
 }
 

@@ -1,8 +1,8 @@
 //! Elaboration: stamping a [`Topology`] into per-link photonic model cards.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use onoc_link::{LinkError, NanophotonicLink, SharedOpCache};
+use onoc_link::{NanophotonicLink, SharedOpCache};
 use onoc_photonics::ThermalLinkStack;
 
 use crate::fabric::{FabricSpec, Topology, TopologyError};
@@ -15,21 +15,21 @@ pub struct LinkCard {
     pub link: usize,
     /// The crosstalk-adjusted thermal stack baked into the model.
     pub stack: ThermalLinkStack,
-    /// The stack's fingerprint — the cache lineage this card joined.
+    /// The stack's fingerprint — the part of every cache key this card's
+    /// solves carry.
     pub fingerprint: u64,
-    /// The ready-to-serve link model, wired to the shared cache of its
-    /// fingerprint group.
+    /// The ready-to-serve link model, wired to the fabric's shared cache.
     pub model: NanophotonicLink,
 }
 
 /// The result of elaborating a fabric: one [`LinkCard`] per photonic link,
-/// with one [`SharedOpCache`] per *distinct* stack fingerprint shared by
-/// every card in that group — stamped links with identical physics also
-/// share their solver work.
+/// every card joined to one [`SharedOpCache`].  Cache keys carry the stack
+/// fingerprint, so stamped links with identical physics share their solver
+/// work and links with distinct stacks never alias.
 #[derive(Debug)]
 pub struct ElaboratedFabric {
     cards: Vec<LinkCard>,
-    caches: BTreeMap<u64, SharedOpCache>,
+    cache: SharedOpCache,
 }
 
 impl ElaboratedFabric {
@@ -52,10 +52,14 @@ impl ElaboratedFabric {
         self.card_for_link(topology.reader_link(node)?)
     }
 
-    /// Number of distinct stack fingerprints (= number of shared caches).
+    /// Number of distinct stack fingerprints among the cards.
     #[must_use]
     pub fn distinct_stacks(&self) -> usize {
-        self.caches.len()
+        self.cards
+            .iter()
+            .map(|card| card.fingerprint)
+            .collect::<BTreeSet<u64>>()
+            .len()
     }
 
     /// Whether every stamped link carries the same stack — the shape under
@@ -63,119 +67,65 @@ impl ElaboratedFabric {
     /// single ring.
     #[must_use]
     pub fn is_uniform(&self) -> bool {
-        self.caches.len() <= 1
+        self.distinct_stacks() <= 1
     }
 
-    /// The shared cache of one fingerprint group.
+    /// The operating-point cache every card resolves through.
     #[must_use]
-    pub fn shared_cache(&self, fingerprint: u64) -> Option<&SharedOpCache> {
-        self.caches.get(&fingerprint)
+    pub fn shared_cache(&self) -> &SharedOpCache {
+        &self.cache
     }
 }
 
 /// Deterministically stamps out one [`NanophotonicLink`] model card per
 /// photonic link of a fabric.
 ///
-/// Cards are derived from a single base stack (default: the paper's), with
-/// each link's ring drift slope amplified by its waveguide-group crosstalk
-/// ([`FabricSpec::link_stack`]).  Links whose adjusted stacks fingerprint
-/// identically share one [`SharedOpCache`], so a fleet of identical rings
-/// pays for each operating-point solve once.
-#[derive(Debug, Clone)]
-pub struct TopologyElaborator {
-    base_stack: ThermalLinkStack,
-    cache_buckets_per_kelvin: Option<f64>,
-}
+/// Cards are derived from the paper's default stack, with each link's ring
+/// drift slope amplified by its waveguide-group crosstalk
+/// ([`FabricSpec::link_stack`]).  Every card joins one [`SharedOpCache`], so
+/// links whose adjusted stacks fingerprint identically pay for each
+/// operating-point solve once.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TopologyElaborator;
 
 impl TopologyElaborator {
     /// An elaborator stamping the paper's default stack.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            base_stack: ThermalLinkStack::paper_default(),
-            cache_buckets_per_kelvin: None,
-        }
+        Self
     }
 
-    /// Replaces the base stack every card is derived from.
-    #[must_use]
-    pub fn with_base_stack(mut self, stack: ThermalLinkStack) -> Self {
-        self.base_stack = stack;
-        self
-    }
-
-    /// Sets the temperature quantisation of the stamped links' caches.
-    #[must_use]
-    pub fn with_cache_resolution(mut self, buckets_per_kelvin: f64) -> Self {
-        self.cache_buckets_per_kelvin = Some(buckets_per_kelvin);
-        self
-    }
-
-    /// The base stack cards are derived from.
-    #[must_use]
-    pub fn base_stack(&self) -> &ThermalLinkStack {
-        &self.base_stack
-    }
-
-    /// Stamps the fabric: validates the spec and the base stack, derives
-    /// each photonic link's stack, groups identical fingerprints onto one
-    /// shared cache, and builds the link models.
+    /// Stamps the fabric: validates the spec, derives each photonic link's
+    /// stack, and builds the link models on one shared cache.
     ///
     /// # Errors
     ///
-    /// [`TopologyError`] when the spec's physical knobs are invalid, the
-    /// base stack fails validation, or a link model rejects its
-    /// configuration.
+    /// [`TopologyError`] when the spec's physical knobs are invalid.
     pub fn elaborate(&self, spec: &FabricSpec) -> Result<ElaboratedFabric, TopologyError> {
         spec.validate()?;
-        self.base_stack.validate().map_err(|reason| TopologyError {
-            reason: format!("base stack: {reason}"),
-        })?;
-        let mut cards = Vec::new();
-        let mut caches: BTreeMap<u64, SharedOpCache> = BTreeMap::new();
-        for (index, link) in spec.topology.links().iter().enumerate() {
-            if !link.kind.is_photonic() {
-                continue;
-            }
-            let stack = spec
-                .link_stack(&self.base_stack, index)
-                .expect("photonic links derive a stack");
-            let fingerprint = stack.fingerprint();
-            let cache = caches.entry(fingerprint).or_default();
-            let mut model = NanophotonicLink::paper_link()
-                .with_thermal_stack(stack.clone())
-                .with_shared_cache(cache.clone());
-            if let Some(buckets) = self.cache_buckets_per_kelvin {
-                model = model
-                    .with_cache_resolution(buckets)
-                    .map_err(|error| TopologyError {
-                        reason: format!("link {index}: {error}"),
-                    })?;
-            }
-            cards.push(LinkCard {
-                link: index,
-                stack,
-                fingerprint,
-                model,
-            });
-        }
-        Ok(ElaboratedFabric { cards, caches })
-    }
-}
-
-impl Default for TopologyElaborator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// LinkError only flows out wrapped in TopologyError messages, but keep the
-// conversion for callers composing the two layers.
-impl From<LinkError> for TopologyError {
-    fn from(error: LinkError) -> Self {
-        Self {
-            reason: error.to_string(),
-        }
+        let base = ThermalLinkStack::paper_default();
+        let cache = SharedOpCache::new();
+        let cards = spec
+            .topology
+            .links()
+            .iter()
+            .enumerate()
+            .filter(|(_, link)| link.kind.is_photonic())
+            .map(|(index, _)| {
+                let stack = spec
+                    .link_stack(&base, index)
+                    .expect("photonic links derive a stack");
+                LinkCard {
+                    link: index,
+                    fingerprint: stack.fingerprint(),
+                    model: NanophotonicLink::paper_link()
+                        .with_thermal_stack(stack.clone())
+                        .with_shared_cache(cache.clone()),
+                    stack,
+                }
+            })
+            .collect();
+        Ok(ElaboratedFabric { cards, cache })
     }
 }
 
@@ -241,8 +191,27 @@ mod tests {
         let lonely = fabric.cards()[2].fingerprint;
         assert_eq!(fabric.cards()[3].fingerprint, lonely);
         assert_ne!(crowded, lonely);
-        assert!(fabric.shared_cache(crowded).is_some());
-        assert!(fabric.shared_cache(lonely).is_some());
+        // One cache serves both groups; the fingerprint in the key keeps
+        // their solves apart.
+        assert!(fabric
+            .cards()
+            .iter()
+            .all(|card| card.model.shared_cache().ptr_eq(fabric.shared_cache())));
+        let scheme = onoc_ecc_codes::EccScheme::Hamming7164;
+        let temperature = onoc_units::Celsius::new(55.0);
+        for card in fabric.cards() {
+            let point = card
+                .model
+                .operating_point_memoized(scheme, 1e-11, temperature)
+                .expect("solves");
+            assert_eq!(
+                Ok(point),
+                card.model.operating_point_at(scheme, 1e-11, temperature)
+            );
+        }
+        let counters = fabric.shared_cache().counters();
+        assert_eq!(counters.misses, 2, "one solve per distinct stack");
+        assert_eq!(counters.hits, 2);
     }
 
     #[test]
@@ -269,12 +238,5 @@ mod tests {
             .elaborate(&spec)
             .expect_err("negative crosstalk");
         assert!(error.reason.contains("crosstalk"));
-
-        let spec = FabricSpec::new(Topology::single_ring(2));
-        let error = TopologyElaborator::new()
-            .with_cache_resolution(0.0)
-            .elaborate(&spec)
-            .expect_err("zero resolution");
-        assert!(error.reason.contains("link 0"));
     }
 }

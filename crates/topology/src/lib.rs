@@ -15,8 +15,9 @@
 //!   tie-break, producing one multi-hop [`Route`] per ordered node pair.
 //! * [`TopologyElaborator`] — stamps out one [`NanophotonicLink`] model card
 //!   per photonic link, scaling the thermal stack's drift slope with
-//!   waveguide-group crosstalk, and shares one [`SharedOpCache`] across all
-//!   stamped links whose stacks fingerprint identically.
+//!   waveguide-group crosstalk, and joins every card to one
+//!   [`SharedOpCache`] whose keys carry the stack fingerprint, so stamped
+//!   links with identical stacks solve each operating point once.
 //!
 //! Built-in constructors cover the paper's canonical fabric
 //! ([`Topology::single_ring`]), a waveguide-partitioned variant

@@ -2,10 +2,14 @@
 //! GLOW-style assigner plus scenario-level integration of the per-ONI
 //! assignment pipeline.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use onoc_ecc::ecc::EccScheme;
 use onoc_ecc::link::{NanophotonicLink, TrafficClass};
 use onoc_ecc::sim::traffic::TrafficPattern;
 use onoc_ecc::sim::{DecisionPolicy, DesignAssignmentConfig, RunReport, ScenarioBuilder};
+use onoc_ecc::telemetry::{MemoryRecorder, RecorderHandle, TelemetryEvent};
 use onoc_ecc::thermal::{
     AssignmentStrategy, FabricationVariation, RcNetworkParameters, RingBankState, ThermalTuner,
     WavelengthAssigner, WavelengthAssignment, WorkloadTrace,
@@ -183,6 +187,37 @@ fn scenario_assignment_is_reproducible_and_seed_sensitive() {
     let a = run(7);
     let b = run(7);
     assert_eq!(a, b, "same assigner seed, same report");
+}
+
+#[test]
+fn an_assigned_fleet_solves_each_stack_point_once() {
+    // The cool far side keeps the identity assignment, so several ONIs
+    // share one stack: the fleet's one cache must solve each of that
+    // stack's points once, not once per ONI.
+    let memory = Arc::new(MemoryRecorder::new());
+    let report = workload_builder()
+        .design_assignment(DesignAssignmentConfig::greedy_refine(7))
+        .telemetry(RecorderHandle::new(memory.clone()))
+        .build()
+        .unwrap()
+        .run();
+    let mut solved = BTreeSet::new();
+    let mut misses = 0u64;
+    for event in memory.events() {
+        if let TelemetryEvent::CacheMiss {
+            fingerprint,
+            scheme,
+            temperature_c,
+        } = event
+        {
+            misses += 1;
+            assert!(
+                solved.insert((fingerprint, scheme.clone(), temperature_c.to_bits())),
+                "key ({fingerprint:#x}, {scheme}, {temperature_c}) solved twice"
+            );
+        }
+    }
+    assert_eq!(misses, report.solver_cache.misses);
 }
 
 #[test]

@@ -301,18 +301,6 @@ fn rejected_configurations() -> Vec<Row> {
         ),
         // Cache wiring.
         invalid(
-            "per-link caches with a shared cache",
-            per_message()
-                .per_link_caches()
-                .shared_cache(SharedOpCache::new()),
-            "per-link caches cannot be combined",
-        ),
-        invalid(
-            "per-link caches with a snapshot",
-            per_message().per_link_caches().cache_snapshot(&snapshot),
-            "per-link caches cannot be combined",
-        ),
-        invalid(
             "an injected cache with a snapshot",
             per_message()
                 .shared_cache(SharedOpCache::new())

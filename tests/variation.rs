@@ -89,12 +89,14 @@ fn channel_hopping_extends_the_uncoded_path_past_its_thermal_collapse() {
         varied_link(0.040, BankTuningMode::PureHeater),
         EccScheme::paper_schemes().to_vec(),
         1e-11,
-    );
+    )
+    .unwrap();
     let barrel_manager = LinkManager::new(
         varied_link(0.040, BankTuningMode::full_barrel_shift(16)),
         EccScheme::paper_schemes().to_vec(),
         1e-11,
-    );
+    )
+    .unwrap();
     let at = |manager: &LinkManager, t: f64| {
         manager
             .configure_at(TrafficClass::LatencyFirst, Celsius::new(t))

@@ -165,10 +165,9 @@ fn hash_bound_names(tokens: &[Token]) -> BTreeSet<String> {
 
 /// D002: wall clocks (`Instant::now`, `SystemTime`) are quarantined.
 ///
-/// The only sanctioned homes are `onoc-parallel` shard timing,
-/// `crates/bench/src/perf.rs`, and the offline criterion stand-in — each of
-/// which carries an inline pragma (or lives in `crates/compat/`, which the
-/// walker never enters), so the rule itself has no allowlist.
+/// The only sanctioned homes are `onoc-parallel` shard timing and the
+/// scale-out run timer in `crates/bench/src/perf.rs` — each of which carries
+/// an inline pragma, so the rule itself has no allowlist.
 #[must_use]
 pub fn d002(ctx: &FileContext<'_>) -> Vec<Finding> {
     let tokens = ctx.tokens;

@@ -348,8 +348,7 @@ fn workspace_self_scan_is_clean() {
         outcome.files_scanned
     );
     // The sanctioned wall-clock sites (shard telemetry plus the scale-out
-    // build and run timers the speedup floor reads) ride on justified
-    // pragmas.
-    assert_eq!(outcome.suppression_count("D002"), 3);
+    // run timer the speedup floor reads) ride on justified pragmas.
+    assert_eq!(outcome.suppression_count("D002"), 2);
     assert_eq!(outcome.d004_recorded, Some(outcome.d004_sites as u64));
 }

@@ -14,6 +14,14 @@ fn main() {
     );
 
     let laser = VcselLaser::paper_vcsel();
+    let electrical = |op: Microwatts, activity: f64| {
+        laser
+            .try_electrical_power(op, activity)
+            .unwrap_or_else(|runaway| {
+                eprintln!("FAIL: {runaway}");
+                std::process::exit(1);
+            })
+    };
     let mut table = TextTable::new(vec![
         "OP_laser (uW)",
         "P_laser @ 25% activity (mW)",
@@ -23,15 +31,24 @@ fn main() {
     ]);
     for step in 0..=14 {
         let op = Microwatts::new(step as f64 * 50.0);
-        let p25 = laser.electrical_power(op, 0.25);
-        let p0 = laser.electrical_power(op, 0.0);
-        let p100 = laser.electrical_power(op, 1.0);
+        let p25 = electrical(op, 0.25);
+        let p0 = electrical(op, 0.0);
+        let p100 = electrical(op, 1.0);
+        // No output means no self-heating: the efficiency at the idle
+        // junction, as the laser-power solver reports it.
+        let efficiency = if p25.is_zero() {
+            laser
+                .thermal_model()
+                .efficiency_at(laser.junction_temperature(p25, 0.25))
+        } else {
+            op.to_milliwatts().value() / p25.value()
+        };
         table.push_row(vec![
             format!("{:.0}", op.value()),
             format!("{:.2}", p25.value()),
             format!("{:.2}", p0.value()),
             format!("{:.2}", p100.value()),
-            format!("{:.2}", laser.efficiency(op, 0.25) * 100.0),
+            format!("{:.2}", efficiency * 100.0),
         ]);
     }
     print_table(&table);

@@ -2,10 +2,12 @@
 //! decision policy × fabrication variation) with the telemetry registry
 //! recorder attached, self-gates that every deterministic counter and the
 //! full run report are bit-identical across thread counts, and writes
-//! `BENCH_scaling.json` at the repository root.
+//! `BENCH_scaling.json` at the repository root.  The file holds no wall
+//! clock: two runs write byte-identical files.  The scale-out speedup is
+//! printed to stdout only.
 //!
-//! Exit status is non-zero on any determinism violation, so CI can gate on
-//! it directly.
+//! Exit status is non-zero on any gate violation, so CI can gate on it
+//! directly.
 
 use onoc_bench::banner;
 use onoc_bench::perf::{
@@ -14,6 +16,18 @@ use onoc_bench::perf::{
     SCALE_OUT_ONI_COUNT, SCALE_OUT_REDUCED_MESSAGES_PER_NODE, SCALE_OUT_REDUCED_ONI_COUNT,
     SCALE_OUT_THREAD_COUNTS,
 };
+use onoc_telemetry::Json;
+
+/// The assembled section, or every failure line on stderr and exit status 1.
+fn or_exit(section: Result<Json, Vec<String>>, scope: &str) -> Json {
+    section.unwrap_or_else(|failures| {
+        for failure in &failures {
+            eprintln!("FAIL: {failure}");
+        }
+        eprintln!("\nFAIL: {} violation(s) {scope}", failures.len());
+        std::process::exit(1);
+    })
+}
 
 fn main() {
     banner(
@@ -28,65 +42,24 @@ fn main() {
         DETERMINISM_THREAD_COUNTS
     );
 
-    let mut document = match build_document(&cases) {
-        Ok(document) => document,
-        Err(failures) => {
-            for failure in &failures {
-                eprintln!("FAIL: {failure}");
-            }
-            eprintln!(
-                "\nFAIL: {} determinism violation(s) across the matrix",
-                failures.len()
-            );
-            std::process::exit(1);
-        }
-    };
+    let mut document = or_exit(build_document(&cases), "across the matrix");
 
     println!(
         "running scale-out suite: {SCALE_OUT_ONI_COUNT} ONIs x {SCALE_OUT_MESSAGES_PER_NODE} \
          msgs/node at thread counts {SCALE_OUT_THREAD_COUNTS:?}...\n"
     );
     let snapshot_path = default_snapshot_path();
-    let scale_out = match build_scale_out_section(
-        SCALE_OUT_ONI_COUNT,
-        SCALE_OUT_MESSAGES_PER_NODE,
-        SCALE_OUT_REDUCED_ONI_COUNT,
-        SCALE_OUT_REDUCED_MESSAGES_PER_NODE,
-        &snapshot_path,
-    ) {
-        Ok(section) => section,
-        Err(failures) => {
-            for failure in &failures {
-                eprintln!("FAIL: {failure}");
-            }
-            eprintln!(
-                "\nFAIL: {} violation(s) in the scale-out suite",
-                failures.len()
-            );
-            std::process::exit(1);
-        }
-    };
-    if let Some(non_det) = scale_out.get("non_deterministic") {
-        let field = |name: &str| {
-            non_det
-                .get(name)
-                .and_then(onoc_telemetry::Json::as_f64)
-                .unwrap_or(0.0)
-        };
-        let max_threads = SCALE_OUT_THREAD_COUNTS.last().copied().unwrap_or(1);
-        println!(
-            "scale-out run-phase speedup 1 -> {max_threads} threads: {:.2}x (floor {} on {} cores, \
-             enforced: {})",
-            field(&format!("run_speedup_1_to_{max_threads}")),
-            field("speedup_floor"),
-            field("available_parallelism"),
-            non_det
-                .get("speedup_floor_enforced")
-                .and_then(onoc_telemetry::Json::as_bool)
-                .unwrap_or(false),
-        );
-        println!("wrote {}\n", snapshot_path.display());
-    }
+    let scale_out = or_exit(
+        build_scale_out_section(
+            SCALE_OUT_ONI_COUNT,
+            SCALE_OUT_MESSAGES_PER_NODE,
+            SCALE_OUT_REDUCED_ONI_COUNT,
+            SCALE_OUT_REDUCED_MESSAGES_PER_NODE,
+            &snapshot_path,
+        ),
+        "in the scale-out suite",
+    );
+    println!("wrote {}\n", snapshot_path.display());
     attach_scale_out(&mut document, scale_out);
 
     // Per-case one-liner so the CI log shows the trajectory at a glance.
@@ -99,7 +72,7 @@ fn main() {
             let det = case.get("deterministic").and_then(|d| d.get("report"));
             let field = |name: &str| {
                 det.and_then(|r| r.get(name))
-                    .and_then(onoc_telemetry::Json::as_f64)
+                    .and_then(Json::as_f64)
                     .unwrap_or(0.0)
             };
             println!(

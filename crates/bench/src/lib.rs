@@ -18,12 +18,13 @@
 //! | `fig_feedback` | closed-loop activity-driven heating demonstration (beyond the paper) |
 //! | `fig_variation` | σ × temperature sweep: pure-heater vs barrel-shift tuning (beyond the paper) |
 //! | `fig_assignment` | design-time (GLOW-style) wavelength assignment vs identity (beyond the paper) |
+//! | `fig_workload` | hot compute cluster + link self-heating split (beyond the paper) |
 //! | `fig_topology` | single ring vs multi-ring vs hybrid mesh → `BENCH_topology.json` (beyond the paper) |
+//! | `fig_dvfs` | per-phase vs worst-case wavelength assignment → `BENCH_dvfs.json` (beyond the paper) |
 //! | `perf_trajectory` | telemetry-instrumented scaling matrix → `BENCH_scaling.json` (beyond the paper) |
 //!
-//! Criterion micro-benchmarks (`benches/`) measure codec throughput, the
-//! link-solver latency, the simulator event rate and the memoized
-//! operating-point cache (`op_cache`).
+//! Every artifact these binaries write is deterministic; host speed is
+//! measured by the separate `hostbench/` package alone.
 //!
 //! Sweep binaries evaluate their temperature grids with [`parallel_map`]:
 //! contiguous shards across `std::thread` workers, merged back in input

@@ -4,14 +4,15 @@
 //! Runs a fixed scenario matrix (fleet size × decision policy × fabrication
 //! variation) with an [`onoc_telemetry::RegistryRecorder`] attached, and
 //! assembles the `BENCH_scaling.json` artifact the ROADMAP asks for: one
-//! entry per scenario with a **deterministic** section (event counters,
-//! histograms and report facts that must be bit-identical across repeated
-//! runs and thread counts) and a **non-deterministic** section (per-shard
-//! wall-clock timings, machine-speed dependent by nature).
+//! entry per scenario whose **deterministic** section (event counters,
+//! histograms and report facts) must be bit-identical across repeated runs
+//! and thread counts.  The file holds no wall clock, so two runs produce
+//! byte-identical files.
 //!
 //! Determinism is self-gated: every scenario runs once per thread count in
 //! [`DETERMINISM_THREAD_COUNTS`] and the harness fails loudly if either the
-//! deterministic metrics or the full [`RunReport`] differ.
+//! deterministic metrics or the full [`RunReport`] differ, or if a scenario
+//! never invoked the solver.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -29,7 +30,7 @@ use onoc_thermal::{BankTuningMode, RcNetworkParameters, ThermalEnvironment, Work
 use onoc_units::Celsius;
 
 /// Version tag of the `BENCH_scaling.json` schema.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Thread counts every scenario is re-run at; the deterministic sections
 /// must be bit-identical across all of them.
@@ -135,8 +136,15 @@ pub struct CaseRun {
     pub report: RunReport,
     /// Deterministic registry contents fed by the run's events.
     pub metrics: MetricsSnapshot,
-    /// Non-deterministic per-shard wall-clock aggregates, rendered.
-    pub wall_clock: Json,
+}
+
+/// A recorder that folds a run's events into `metrics`.  The wall-clock
+/// half of the registry recorder is dropped unread.
+fn metrics_recorder(metrics: &Arc<MetricsRegistry>) -> RecorderHandle {
+    RecorderHandle::new(Arc::new(RegistryRecorder::new(
+        metrics.clone(),
+        Arc::new(WallClockRegistry::new()),
+    )))
 }
 
 /// Runs one case at the given thread budget with a fresh registry recorder.
@@ -148,22 +156,27 @@ pub struct CaseRun {
 #[must_use]
 pub fn run_case(case: &TrajectoryCase, threads: usize) -> CaseRun {
     let metrics = Arc::new(MetricsRegistry::new());
-    let wall = Arc::new(WallClockRegistry::new());
-    let recorder = RecorderHandle::new(Arc::new(RegistryRecorder::new(
-        metrics.clone(),
-        wall.clone(),
-    )));
     let report = ScenarioBuilder::from_config(case.config.clone())
         .threads(threads)
-        .telemetry(recorder)
+        .telemetry(metrics_recorder(&metrics))
         .build()
         .unwrap_or_else(|e| panic!("case {} must build: {e}", case.label))
         .run();
     CaseRun {
         report,
         metrics: metrics.snapshot(),
-        wall_clock: wall.to_json(),
     }
+}
+
+/// A failure line when `metrics` count no solver invocation: every case
+/// of the matrix, and the scale-out headline, must exercise the solver.
+fn solver_invocations_failure(label: &str, metrics: &MetricsSnapshot) -> Option<String> {
+    let solves = metrics
+        .counters
+        .get("solver.invocations")
+        .copied()
+        .unwrap_or(0);
+    (solves == 0).then(|| format!("{label}: solver.invocations missing or zero"))
 }
 
 /// The deterministic facts of a report the artifact exposes for gating —
@@ -188,8 +201,8 @@ fn report_digest(report: &RunReport) -> Json {
 ///
 /// # Errors
 ///
-/// One line per determinism violation: a case whose deterministic metrics
-/// or whose full report differed between thread counts.
+/// One line per violation: a case whose deterministic metrics or whose full
+/// report differed between thread counts, or that never invoked the solver.
 pub fn build_document(cases: &[TrajectoryCase]) -> Result<Json, Vec<String>> {
     let mut failures = Vec::new();
     let mut rendered_cases = Vec::new();
@@ -223,15 +236,7 @@ pub fn build_document(cases: &[TrajectoryCase]) -> Result<Json, Vec<String>> {
                 ));
             }
         }
-        let wall_runs: Vec<(String, Json)> = runs
-            .iter()
-            .map(|(threads, run)| {
-                (
-                    format!("threads_{threads}"),
-                    Json::obj(vec![("shards", run.wall_clock.clone())]),
-                )
-            })
-            .collect();
+        failures.extend(solver_invocations_failure(&case.label, &reference.metrics));
         rendered_cases.push(Json::obj(vec![
             ("label", case.label.as_str().into()),
             ("policy", case.policy.into()),
@@ -243,7 +248,6 @@ pub fn build_document(cases: &[TrajectoryCase]) -> Result<Json, Vec<String>> {
                     ("metrics", reference.metrics.to_json()),
                 ]),
             ),
-            ("non_deterministic", Json::Obj(wall_runs)),
         ]));
     }
     if !failures.is_empty() {
@@ -348,17 +352,13 @@ pub fn scale_out_builder(
         .cache_resolution(1.0 / quantization_k)
 }
 
-/// Outcome of one scale-out run, with the scenario build phase (traffic
-/// generation, manager construction) timed separately from the epoch loop.
+/// Outcome of one scale-out run, with the epoch loop timed for the speedup
+/// floor.
 pub struct ScaleOutRun {
     /// The simulation report (recorder-independent, thread-independent).
     pub report: RunReport,
     /// Deterministic registry contents fed by the run's events.
     pub metrics: MetricsSnapshot,
-    /// Non-deterministic per-shard wall-clock aggregates, rendered.
-    pub wall_clock: Json,
-    /// Wall clock of `ScenarioBuilder::build`, in microseconds.
-    pub build_micros: u64,
     /// Wall clock of `Scenario::run` (the phase that shards), in
     /// microseconds.
     pub run_micros: u64,
@@ -373,29 +373,19 @@ pub struct ScaleOutRun {
 #[must_use]
 pub fn run_scale_out(builder: &ScenarioBuilder, threads: usize) -> ScaleOutRun {
     let metrics = Arc::new(MetricsRegistry::new());
-    let wall = Arc::new(WallClockRegistry::new());
-    let recorder = RecorderHandle::new(Arc::new(RegistryRecorder::new(
-        metrics.clone(),
-        wall.clone(),
-    )));
-    // onoc-lint: allow(D002, bench wall clock lands in the quarantined non-deterministic section of BENCH_scaling.json)
-    let build_started = std::time::Instant::now();
     let scenario = builder
         .clone()
         .threads(threads)
-        .telemetry(recorder)
+        .telemetry(metrics_recorder(&metrics))
         .build()
         .unwrap_or_else(|e| panic!("scale-out scenario must build: {e}"));
-    let build_micros = u64::try_from(build_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    // onoc-lint: allow(D002, bench wall clock lands in the quarantined non-deterministic section of BENCH_scaling.json)
+    // onoc-lint: allow(D002, the speedup floor reads this run timer; it never reaches BENCH_scaling.json)
     let run_started = std::time::Instant::now();
     let report = scenario.run();
     let run_micros = u64::try_from(run_started.elapsed().as_micros()).unwrap_or(u64::MAX);
     ScaleOutRun {
         report,
         metrics: metrics.snapshot(),
-        wall_clock: wall.to_json(),
-        build_micros,
         run_micros,
     }
 }
@@ -414,13 +404,15 @@ fn counters_json(counters: CacheCounters) -> Json {
 ///
 /// 1. **Headline** — the homogeneous case at every thread count in
 ///    [`SCALE_OUT_THREAD_COUNTS`]; deterministic metrics and the
-///    thread-normalized report must be bit-identical.
+///    thread-normalized report must be bit-identical, and the solver must
+///    have run.
 /// 2. **Snapshot warm start** (reduced size) — a cold run persists
 ///    `snapshot_path`; the warm re-run must report zero solver invocations
 ///    and a 100 % hit rate while producing the same physics.
 /// 3. **Speedup floor** — single-thread → max-thread run-phase speedup must
 ///    reach [`SCALE_OUT_SPEEDUP_FLOOR`] whenever the host has enough cores;
-///    always recorded, only enforced on capable hosts.
+///    always printed to stdout, only enforced on capable hosts, and kept out
+///    of the section so that it stays byte-comparable.
 ///
 /// Any pre-existing snapshot file is removed first so repeated invocations
 /// stay cold-start deterministic.
@@ -437,6 +429,7 @@ pub fn build_scale_out_section(
     snapshot_path: &Path,
 ) -> Result<Json, Vec<String>> {
     let mut failures = Vec::new();
+    let label = format!("scale-out/oni{oni_count}");
 
     // 1. Headline thread-scaling runs.
     let headline = scale_out_builder(oni_count, messages_per_node, SCALE_OUT_QUANTIZATION_K);
@@ -464,6 +457,7 @@ pub fn build_scale_out_section(
             ));
         }
     }
+    failures.extend(solver_invocations_failure(&label, &reference.metrics));
 
     // 2. Snapshot warm start at the reduced size.  Cache accounting
     // legitimately differs between the cold and the warm run, so the
@@ -541,6 +535,10 @@ pub fn build_scale_out_section(
     let speedup = run_micros_at(1) as f64 / run_micros_at(max_threads).max(1) as f64;
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let enforced = cores >= max_threads;
+    println!(
+        "scale-out run-phase speedup 1 -> {max_threads} threads: {speedup:.2}x \
+         (floor {SCALE_OUT_SPEEDUP_FLOOR} on {cores} cores, enforced: {enforced})"
+    );
     if enforced && speedup < SCALE_OUT_SPEEDUP_FLOOR {
         failures.push(format!(
             "scale-out: 1 -> {max_threads}-thread run-phase speedup {speedup:.2}x is below the \
@@ -552,21 +550,8 @@ pub fn build_scale_out_section(
         return Err(failures);
     }
 
-    let wall_runs: Vec<(String, Json)> = runs
-        .iter()
-        .map(|(threads, run)| {
-            (
-                format!("threads_{threads}"),
-                Json::obj(vec![
-                    ("build_micros", run.build_micros.into()),
-                    ("run_micros", run.run_micros.into()),
-                    ("shards", run.wall_clock.clone()),
-                ]),
-            )
-        })
-        .collect();
     Ok(Json::obj(vec![
-        ("label", format!("scale-out/oni{oni_count}").into()),
+        ("label", label.into()),
         ("oni_count", oni_count.into()),
         ("messages_per_node", messages_per_node.into()),
         (
@@ -583,23 +568,6 @@ pub fn build_scale_out_section(
                     ]),
                 ),
             ]),
-        ),
-        (
-            "non_deterministic",
-            Json::Obj(
-                wall_runs
-                    .into_iter()
-                    .chain([
-                        (
-                            format!("run_speedup_1_to_{max_threads}"),
-                            Json::from(speedup),
-                        ),
-                        ("speedup_floor".to_string(), SCALE_OUT_SPEEDUP_FLOOR.into()),
-                        ("speedup_floor_enforced".to_string(), enforced.into()),
-                        ("available_parallelism".to_string(), cores.into()),
-                    ])
-                    .collect(),
-            ),
         ),
     ]))
 }
@@ -641,6 +609,19 @@ mod tests {
         assert_eq!(labels.len(), cases.len());
         assert!(cases.iter().any(|c| c.policy == "per-message"));
         assert!(cases.iter().any(|c| c.policy == "epoch-gated"));
+    }
+
+    #[test]
+    fn a_run_without_solver_invocations_fails_the_gate() {
+        let mut metrics = MetricsSnapshot::default();
+        assert_eq!(
+            solver_invocations_failure("case", &metrics).as_deref(),
+            Some("case: solver.invocations missing or zero")
+        );
+        metrics.counters.insert("solver.invocations".to_owned(), 0);
+        assert!(solver_invocations_failure("case", &metrics).is_some());
+        metrics.counters.insert("solver.invocations".to_owned(), 3);
+        assert_eq!(solver_invocations_failure("case", &metrics), None);
     }
 
     #[test]

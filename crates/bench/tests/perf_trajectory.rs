@@ -1,6 +1,6 @@
 //! Schema tests for the perf-trajectory artifact: the document must parse
-//! as JSON, carry the deterministic-counter section, and self-gate across
-//! thread counts.
+//! as JSON, carry the deterministic-counter section and nothing else, and
+//! self-gate across thread counts.
 
 use onoc_bench::perf::{
     attach_scale_out, build_document, build_scale_out_section, scenario_matrix_with, SCHEMA_VERSION,
@@ -49,12 +49,12 @@ fn bench_scaling_document_parses_with_deterministic_counters() {
             .and_then(|(_, v)| v.as_u64())
             .expect("solver.invocations counter");
         assert!(solves > 0, "every scenario invokes the solver");
-        // Wall-clock timings must stay out of the deterministic section.
+        // Wall-clock timings must stay out of the artifact.
         assert!(
             counters.iter().all(|(k, _)| !k.starts_with("shard.")),
             "shard wall-clock leaked into deterministic counters"
         );
-        assert!(case.get("non_deterministic").is_some());
+        assert!(case.get("non_deterministic").is_none());
     }
 }
 
@@ -84,13 +84,6 @@ fn scale_out_section_gates_and_renders_at_reduced_size() {
         .and_then(|w| w.get("misses"))
         .and_then(Json::as_u64);
     assert_eq!(warm_misses, Some(0), "warm start is pure hits");
-    let non_det = scale_out
-        .get("non_deterministic")
-        .expect("non_deterministic");
-    for threads in ["threads_1", "threads_4"] {
-        let run = non_det.get(threads).expect("per-thread timings");
-        assert!(run.get("build_micros").is_some());
-        assert!(run.get("run_micros").is_some());
-    }
-    assert!(non_det.get("speedup_floor_enforced").is_some());
+    // The speedup goes to stdout; the section holds no wall clock.
+    assert!(scale_out.get("non_deterministic").is_none());
 }

@@ -931,6 +931,34 @@ mod tests {
     }
 
     #[test]
+    fn repeated_sweeps_cut_solver_invocations_at_least_5x() {
+        // Ten 25–85 °C sweeps in 0.5 K steps over every paper scheme solve
+        // each (scheme, bucket) once, on the uniform bank and on a
+        // σ = 40 pm barrel-shift chip alike.
+        let varied = link()
+            .with_fabrication_variation(FabricationVariation::new(0.04, 42))
+            .with_bank_tuning_mode(BankTuningMode::full_barrel_shift(16));
+        for (name, l) in [("uniform", link()), ("sigma 40 pm, barrel shift", varied)] {
+            for _ in 0..10 {
+                for step in 0..=120 {
+                    let t = Celsius::new(25.0 + 0.5 * f64::from(step));
+                    for scheme in EccScheme::paper_schemes() {
+                        let _ = l.operating_point_memoized(scheme, 1e-11, t);
+                    }
+                }
+            }
+            let counters = l.cache_counters();
+            let ratio = counters.total() as f64 / counters.misses as f64;
+            assert!(
+                ratio >= 5.0,
+                "{name}: {} queries took {} solver invocations ({ratio:.1}x fewer, need >= 5x)",
+                counters.total(),
+                counters.misses
+            );
+        }
+    }
+
+    #[test]
     fn a_cache_resolution_swaps_in_an_empty_cache_on_its_own_grid() {
         let l = link();
         let _ = l.operating_point_memoized(EccScheme::Uncoded, 1e-11, Celsius::new(25.0));

@@ -97,11 +97,12 @@ impl Default for LaserThermalModel {
 /// use onoc_units::Microwatts;
 ///
 /// let laser = VcselLaser::paper_vcsel();
-/// let low = laser.electrical_power(Microwatts::new(100.0), 0.25);
-/// let high = laser.electrical_power(Microwatts::new(700.0), 0.25);
+/// let low = laser.try_electrical_power(Microwatts::new(100.0), 0.25)?;
+/// let high = laser.try_electrical_power(Microwatts::new(700.0), 0.25)?;
 /// // The high-output point costs more than 7× the low-output point: the
 /// // efficiency roll-off makes the curve super-linear (Fig. 4).
 /// assert!(high.value() / low.value() > 7.0);
+/// # Ok::<(), onoc_photonics::devices::ThermalRunaway>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VcselLaser {
@@ -189,23 +190,9 @@ impl VcselLaser {
     ///
     /// The electro-thermal feedback is resolved by damped fixed-point
     /// iteration; the solution is unique because the efficiency is a
-    /// monotonically decreasing function of the electrical power.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `optical_output` exceeds the laser's deliverable maximum
-    /// (check with [`VcselLaser::can_emit`] first) or if the thermal runaway
-    /// prevents convergence; use [`VcselLaser::try_electrical_power`] to get
-    /// the runaway as a typed error instead.
-    #[must_use]
-    pub fn electrical_power(&self, optical_output: Microwatts, activity: f64) -> Milliwatts {
-        self.try_electrical_power(optical_output, activity)
-            .unwrap_or_else(|runaway| panic!("{runaway}"))
-    }
-
-    /// Fallible form of [`VcselLaser::electrical_power`]: a diverging
-    /// electro-thermal fixed point is reported as [`ThermalRunaway`] instead
-    /// of aborting, so envelope sweeps can record the point as infeasible.
+    /// monotonically decreasing function of the electrical power.  A
+    /// diverging fixed point is reported as [`ThermalRunaway`], so envelope
+    /// sweeps can record the point as infeasible.
     ///
     /// # Errors
     ///
@@ -261,22 +248,6 @@ impl VcselLaser {
         }
         Ok(Milliwatts::new(electrical))
     }
-
-    /// Wall-plug efficiency at the operating point (`optical_output`,
-    /// `activity`).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`VcselLaser::electrical_power`].
-    #[must_use]
-    pub fn efficiency(&self, optical_output: Microwatts, activity: f64) -> f64 {
-        if optical_output.is_zero() {
-            let t = self.junction_temperature(Milliwatts::zero(), activity);
-            return self.thermal.efficiency_at(t);
-        }
-        let electrical = self.electrical_power(optical_output, activity);
-        optical_output.to_milliwatts().value() / electrical.value()
-    }
 }
 
 impl Default for VcselLaser {
@@ -303,7 +274,7 @@ mod tests {
         let laser = VcselLaser::paper_vcsel();
         let mut last = Milliwatts::zero();
         for op in (0..=14).map(|i| Microwatts::new(i as f64 * 50.0)) {
-            let p = laser.electrical_power(op, 0.25);
+            let p = laser.try_electrical_power(op, 0.25).unwrap();
             assert!(p.value() >= last.value(), "not monotone at {op}");
             last = p;
         }
@@ -312,21 +283,29 @@ mod tests {
     #[test]
     fn low_output_region_is_roughly_linear_at_5_percent_efficiency() {
         let laser = VcselLaser::paper_vcsel();
-        let p100 = laser.electrical_power(Microwatts::new(100.0), 0.25);
-        let p200 = laser.electrical_power(Microwatts::new(200.0), 0.25);
+        let p100 = laser
+            .try_electrical_power(Microwatts::new(100.0), 0.25)
+            .unwrap();
+        let p200 = laser
+            .try_electrical_power(Microwatts::new(200.0), 0.25)
+            .unwrap();
         // Doubling the output should cost close to (but slightly more than)
         // twice the power.
         let ratio = p200.value() / p100.value();
         assert!(ratio > 1.95 && ratio < 2.3, "ratio = {ratio}");
-        let eff = laser.efficiency(Microwatts::new(100.0), 0.25);
+        let eff = Microwatts::new(100.0).to_milliwatts().value() / p100.value();
         assert!(eff > 0.035 && eff < 0.055, "efficiency = {eff}");
     }
 
     #[test]
     fn high_output_region_is_super_linear() {
         let laser = VcselLaser::paper_vcsel();
-        let p350 = laser.electrical_power(Microwatts::new(350.0), 0.25);
-        let p700 = laser.electrical_power(Microwatts::new(700.0), 0.25);
+        let p350 = laser
+            .try_electrical_power(Microwatts::new(350.0), 0.25)
+            .unwrap();
+        let p700 = laser
+            .try_electrical_power(Microwatts::new(700.0), 0.25)
+            .unwrap();
         // Fig. 4: beyond ~500 µW the curve bends upwards.
         assert!(p700.value() / p350.value() > 2.05);
     }
@@ -334,7 +313,9 @@ mod tests {
     #[test]
     fn fig4_anchor_point_at_the_ceiling() {
         let laser = VcselLaser::paper_vcsel();
-        let p = laser.electrical_power(Microwatts::new(700.0), 0.25);
+        let p = laser
+            .try_electrical_power(Microwatts::new(700.0), 0.25)
+            .unwrap();
         assert!(
             p.value() > 12.0 && p.value() < 17.0,
             "P_laser(700 uW) = {p}"
@@ -344,16 +325,22 @@ mod tests {
     #[test]
     fn activity_raises_the_electrical_power() {
         let laser = VcselLaser::paper_vcsel();
-        let idle = laser.electrical_power(Microwatts::new(400.0), 0.0);
-        let busy = laser.electrical_power(Microwatts::new(400.0), 1.0);
+        let idle = laser
+            .try_electrical_power(Microwatts::new(400.0), 0.0)
+            .unwrap();
+        let busy = laser
+            .try_electrical_power(Microwatts::new(400.0), 1.0)
+            .unwrap();
         assert!(busy.value() > idle.value());
     }
 
     #[test]
     fn zero_output_costs_nothing() {
         let laser = VcselLaser::paper_vcsel();
-        assert!(laser.electrical_power(Microwatts::zero(), 0.25).is_zero());
-        assert!(laser.efficiency(Microwatts::zero(), 0.25) > 0.0);
+        assert!(laser
+            .try_electrical_power(Microwatts::zero(), 0.25)
+            .unwrap()
+            .is_zero());
     }
 
     #[test]
@@ -367,11 +354,11 @@ mod tests {
     #[should_panic(expected = "exceeds the laser maximum")]
     fn over_ceiling_request_panics() {
         let laser = VcselLaser::paper_vcsel();
-        let _ = laser.electrical_power(Microwatts::new(900.0), 0.25);
+        let _ = laser.try_electrical_power(Microwatts::new(900.0), 0.25);
     }
 
     #[test]
-    fn runaway_is_a_typed_error_on_the_fallible_path() {
+    fn runaway_is_a_typed_error() {
         // Far beyond the paper envelope the electro-thermal fixed point has
         // no solution: every milliwatt heats the junction enough to cost
         // more than a milliwatt of efficiency.
@@ -388,28 +375,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "thermal runaway")]
-    fn runaway_still_panics_on_the_infallible_path() {
-        let furnace = VcselLaser::paper_vcsel().with_ambient(Celsius::new(150.0));
-        let _ = furnace.electrical_power(Microwatts::new(700.0), 1.0);
-    }
-
-    #[test]
     fn hotter_ambient_costs_more_electrical_power() {
         let laser = VcselLaser::paper_vcsel();
         assert!((laser.ambient().value() - 25.0).abs() < 1e-12);
         let hot = laser.with_ambient(Celsius::new(85.0));
         assert!((hot.ambient().value() - 85.0).abs() < 1e-12);
         let op = Microwatts::new(400.0);
-        assert!(hot.electrical_power(op, 0.25).value() > laser.electrical_power(op, 0.25).value());
+        let power = |l: &VcselLaser| l.try_electrical_power(op, 0.25).unwrap().value();
+        assert!(power(&hot) > power(&laser));
         // The optical ceiling is a device property, unaffected by ambient.
         assert_eq!(hot.max_output(), laser.max_output());
         // Same ambient reproduces the same numbers exactly.
         let same = laser.with_ambient(Celsius::new(25.0));
-        assert_eq!(
-            same.electrical_power(op, 0.25).value(),
-            laser.electrical_power(op, 0.25).value()
-        );
+        assert_eq!(power(&same), power(&laser));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! which is exactly the computation behind Fig. 5 of the paper, and the
 //! building block for Fig. 6.
 
-use onoc_ber::snr::ber_from_snr;
 use onoc_ber::ReceiverModel;
 use onoc_ecc_codes::ber::raw_ber_for_target;
 use onoc_ecc_codes::EccScheme;
@@ -215,8 +214,8 @@ impl LaserPowerSolver {
                 target_ber,
                 optical_microwatts: runaway.optical_output.value(),
             })?;
-        // Efficiency from the solved point directly; a second fixed-point
-        // solve via `laser.efficiency` would repeat the same iteration.
+        // Wall-plug efficiency of the solved point.  With no output there is
+        // no self-heating, so it is the efficiency at the idle junction.
         let laser_efficiency = if electrical.is_zero() {
             laser
                 .thermal_model()
@@ -269,27 +268,6 @@ impl LaserPowerSolver {
             }
         }
         Ok(worst.expect("the grid has at least one wavelength"))
-    }
-
-    /// Achievable decoded BER when the laser runs at `laser_output` with the
-    /// given `scheme` (the forward direction, used by the NoC simulator to
-    /// derive error-injection probabilities).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wavelength` is outside the channel's grid.
-    #[must_use]
-    pub fn achievable_ber(
-        &self,
-        scheme: EccScheme,
-        laser_output: Microwatts,
-        wavelength: usize,
-    ) -> f64 {
-        let crosstalk = self.channel.worst_case_crosstalk(wavelength);
-        let swing = self.channel.signal_swing(laser_output, wavelength);
-        let snr = self.receiver.snr(swing, crosstalk);
-        let raw = if snr <= 0.0 { 0.5 } else { ber_from_snr(snr) };
-        onoc_ecc_codes::ber::coded_ber(scheme, raw.min(0.5))
     }
 }
 
@@ -375,23 +353,6 @@ mod tests {
             .channel()
             .signal_swing(p.laser_output_power, s.worst_case_wavelength());
         assert!((swing.value() - p.required_swing.value()).abs() / p.required_swing.value() < 1e-6);
-    }
-
-    #[test]
-    fn achievable_ber_inverts_the_solver() {
-        let s = solver();
-        let wavelength = s.worst_case_wavelength();
-        let p = s.solve(EccScheme::Hamming74, 1e-9).unwrap();
-        let ber = s.achievable_ber(EccScheme::Hamming74, p.laser_output_power, wavelength);
-        assert!(ber < 1.5e-9, "achievable BER {ber} misses the target");
-        assert!(ber > 1e-12, "achievable BER {ber} suspiciously optimistic");
-    }
-
-    #[test]
-    fn achievable_ber_degrades_gracefully_at_low_power() {
-        let s = solver();
-        let ber = s.achievable_ber(EccScheme::Uncoded, Microwatts::new(1.0), 0);
-        assert!(ber > 0.01, "almost no light should mean a terrible BER");
     }
 
     #[test]

@@ -487,27 +487,6 @@ impl WavelengthAssigner {
             }
         }
     }
-
-    /// Assigns a whole fleet: one permutation per bank state (the per-ONI
-    /// heat map × chip instances of a scenario).
-    #[must_use]
-    pub fn assign_fleet(&self, states: &[RingBankState]) -> Vec<WavelengthAssignment> {
-        self.assign_fleet_traced(states, &RecorderHandle::none())
-    }
-
-    /// [`WavelengthAssigner::assign_fleet`] with per-candidate search
-    /// telemetry (see [`WavelengthAssigner::assign_traced`]).
-    #[must_use]
-    pub fn assign_fleet_traced(
-        &self,
-        states: &[RingBankState],
-        recorder: &RecorderHandle,
-    ) -> Vec<WavelengthAssignment> {
-        states
-            .iter()
-            .map(|state| self.assign_traced(state, recorder))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -687,9 +666,8 @@ mod tests {
     fn fleet_assignment_is_per_bank() {
         let cold = RingBankState::aligned(16);
         let hot = RingBankState::new(vec![0.0; 16], KelvinDelta::new(60.0));
-        let fleet = assigner(AssignmentStrategy::Greedy).assign_fleet(&[cold, hot]);
-        assert_eq!(fleet.len(), 2);
-        assert!(fleet[0].is_identity());
-        assert!(!fleet[1].is_identity());
+        let a = assigner(AssignmentStrategy::Greedy);
+        assert!(a.assign(&cold).is_identity());
+        assert!(!a.assign(&hot).is_identity());
     }
 }
